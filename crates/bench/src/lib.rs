@@ -2,8 +2,9 @@
 //!
 //! Each table and figure of the paper's evaluation section has a dedicated
 //! regenerator binary in `src/bin/` (`table1` … `table6`, `fig2`,
-//! `hard_search`); Criterion micro-benchmarks of the §3.3 kernels live in
-//! `benches/`. This library holds the plumbing they share: environment
+//! `hard_search`); the §3.3 kernels are timed by the `perm.*_ns` and
+//! `canon.*` metrics of the layered benchmark in `perfbench/`. This
+//! library holds the plumbing the binaries share: environment
 //! configuration and the precompute-once/load-later table cache (the
 //! paper's own workflow — §4.1 loads the k = 9 tables from disk in 1111 s
 //! rather than recomputing them for 3 hours).

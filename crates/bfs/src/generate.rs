@@ -135,7 +135,7 @@ mod tests {
     fn level0_is_identity_only() {
         let t = SearchTables::generate(4, 1);
         assert_eq!(t.level(0), &[Perm::identity()]);
-        assert_eq!(t.lookup(Perm::identity()), Some(StoredGate::Identity));
+        assert_eq!(t.lookup(Perm::identity()), Ok(Some(StoredGate::Identity)));
     }
 
     #[test]
@@ -191,7 +191,11 @@ mod tests {
         let t = SearchTables::generate(4, 4);
         for i in 1..=4usize {
             for &rep in t.level(i).iter().step_by(7) {
-                match t.lookup(rep).expect("level member must be in table") {
+                match t
+                    .lookup(rep)
+                    .unwrap()
+                    .expect("level member must be in table")
+                {
                     StoredGate::Identity => panic!("identity record on nonzero level"),
                     StoredGate::Gate { gate, is_first } => {
                         let g = gate.perm(4);

@@ -15,7 +15,10 @@
 //! bits 1..0  : target wire
 //! ```
 
+use std::fmt;
+
 use revsynth_circuit::Gate;
+use revsynth_perm::Perm;
 
 /// The byte stored for the identity function (size 0, no gates).
 pub const IDENTITY_BYTE: u8 = 0x00;
@@ -34,6 +37,30 @@ pub enum StoredGate {
         is_first: bool,
     },
 }
+
+/// A stored byte that decodes to no gate record. A store that passed full
+/// verification cannot hold one; a store mapped through the fast load
+/// path (which defers the bulk section checksums) can, if its file was
+/// damaged.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CorruptRecord {
+    /// The representative whose record is malformed.
+    pub rep: Perm,
+    /// The malformed byte.
+    pub byte: u8,
+}
+
+impl fmt::Display for CorruptRecord {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "malformed gate record {:#04x} for representative {}",
+            self.byte, self.rep
+        )
+    }
+}
+
+impl std::error::Error for CorruptRecord {}
 
 /// Encodes a boundary gate into the table byte.
 #[inline]

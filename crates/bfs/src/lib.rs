@@ -50,7 +50,7 @@ mod tables;
 mod weighted;
 
 pub use counts::LevelCount;
-pub use info::{decode_stored, encode_stored, StoredGate, IDENTITY_BYTE};
+pub use info::{decode_stored, encode_stored, CorruptRecord, StoredGate, IDENTITY_BYTE};
 pub use shard::GenOptions;
 pub use store::{file_digest, LevelInfo, StoreError, StoreErrorKind, StoreInfo};
 pub use tables::{Levels, LevelsIter, SearchTables};

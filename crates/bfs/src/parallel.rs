@@ -59,7 +59,7 @@ mod tests {
         let t = SearchTables::generate_parallel(GateLib::nct(3), 5, 3);
         for i in 1..=5usize {
             for &rep in t.level(i).iter().step_by(11) {
-                match t.lookup(rep).expect("present") {
+                match t.lookup(rep).unwrap().expect("present") {
                     StoredGate::Identity => panic!("identity record on level {i}"),
                     StoredGate::Gate { gate, is_first } => {
                         let g = gate.perm(3);

@@ -10,7 +10,7 @@ use revsynth_perm::Perm;
 use revsynth_table::{FnTable, InvariantIndex, TableStats};
 
 use crate::counts::LevelCount;
-use crate::info::{decode_stored, StoredGate};
+use crate::info::{decode_stored, CorruptRecord, StoredGate};
 use crate::shard::GenOptions;
 use crate::store::{CheckpointWriter, StoreError, StoreInfo};
 
@@ -493,15 +493,16 @@ impl SearchTables {
     /// The stored boundary-gate record for a canonical representative of
     /// size ≤ k, or `None` if the representative is not in the table.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the stored byte is malformed (impossible unless the value
-    /// was corrupted after [`load`](Self::load) verification).
-    #[must_use]
-    pub fn lookup(&self, rep: Perm) -> Option<StoredGate> {
+    /// [`CorruptRecord`] if the stored byte is malformed. A verified store
+    /// never holds one; a store loaded through the fast path, whose bulk
+    /// section checksums are deferred, can if its file was damaged.
+    pub fn lookup(&self, rep: Perm) -> Result<Option<StoredGate>, CorruptRecord> {
         self.table
             .get(rep)
-            .map(|byte| decode_stored(byte).expect("table holds only valid gate records"))
+            .map(|byte| decode_stored(byte).ok_or(CorruptRecord { rep, byte }))
+            .transpose()
     }
 
     /// The underlying hash table of canonical representatives, for callers

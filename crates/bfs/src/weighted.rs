@@ -310,7 +310,7 @@ mod tests {
         let t = SearchTables::generate_weighted(GateLib::nct(3), CostModel::quantum(), 7);
         for i in 1..t.levels().len() {
             for &rep in t.level(i) {
-                match t.lookup(rep).expect("settled") {
+                match t.lookup(rep).unwrap().expect("settled") {
                     StoredGate::Identity => panic!("identity record in bucket {i}"),
                     StoredGate::Gate { gate, is_first } => {
                         let g = gate.perm(3);

@@ -23,6 +23,17 @@ pub enum SynthesisError {
         /// The size limit that was exhausted.
         limit: usize,
     },
+    /// The search tables contradict themselves: a stored gate record is
+    /// malformed, peeling a stored function does not terminate, or an
+    /// answer fails its certificate (it does not compute the query, or
+    /// its cost is not the one the search proved). A verified store never
+    /// does this; a damaged store mapped through the fast load path can.
+    CorruptTables {
+        /// The function being synthesized.
+        function: Perm,
+        /// Which check failed.
+        detail: &'static str,
+    },
 }
 
 impl fmt::Display for SynthesisError {
@@ -35,6 +46,10 @@ impl fmt::Display for SynthesisError {
             SynthesisError::SizeExceedsLimit { function, limit } => write!(
                 f,
                 "no circuit with at most {limit} gates found for {function}"
+            ),
+            SynthesisError::CorruptTables { function, detail } => write!(
+                f,
+                "search tables are corrupt ({detail}) while synthesizing {function}"
             ),
         }
     }

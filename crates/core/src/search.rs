@@ -61,6 +61,20 @@
 //! [`SearchOptions::filter`] is the escape hatch, and [`SearchStats`]
 //! reports its selectivity (candidates gated / canonicalized / probed).
 //!
+//! On tables that exceed the cache, both stages of the gate are a cache
+//! miss — the prefilter word, then the index's home slot — and one
+//! candidate at a time they run back to back. The scan therefore gates
+//! the ≤ 2·n! candidates of one representative and one query as a batch
+//! ([`InvariantIndex::admits_batch`]) in three passes: weight keys with a
+//! prefetch of each prefilter word; the prefilter test, with the combined
+//! key and a prefetch of its index slot for each survivor; then each
+//! survivor's distance mask. The misses of a pass overlap each other and
+//! the arithmetic of the next candidates. The batch is then replayed in
+//! candidate order through count → gated? → canonicalize → probe, so the
+//! scan stops where a one-at-a-time loop would and [`SearchStats`] count
+//! the same work; verdicts computed past a hit are speculative and not
+//! counted.
+//!
 //! # The probe wavefront
 //!
 //! Probes into a table that exceeds the last-level cache are
@@ -68,15 +82,15 @@
 //! loop keeps a W-deep FIFO ring of in-flight probes per query
 //! ([`revsynth_table::ProbeRing`], W = 8 by default,
 //! [`SearchOptions::probe_depth`]): starting a candidate's probe
-//! ([`revsynth_table::FnTable::probe_start`], whose home-slot read
-//! doubles as the prefetch) evicts and resolves only the ring's *oldest*
-//! probe, so up to W memory accesses overlap the computation of
-//! subsequent candidates — dependent cache misses become memory-level
-//! parallelism, a serial win that needs no second hardware thread. The
-//! ring survives across representatives within a shard and drains at
-//! shard end; since eviction is strictly FIFO, the first successful
-//! resolve is the earliest candidate hit, so the chosen hit is identical
-//! for every ring depth.
+//! ([`revsynth_table::FnTable::probe_start`], which issues an explicit
+//! prefetch of the home slot and does not read it) evicts and resolves
+//! only the ring's *oldest* probe, so up to W memory accesses overlap the
+//! computation of subsequent candidates — dependent cache misses become
+//! memory-level parallelism, a serial win that needs no second hardware
+//! thread. The ring survives across representatives within a shard and
+//! drains at shard end; since eviction is strictly FIFO, the first
+//! successful resolve is the earliest candidate hit, so the chosen hit is
+//! identical for every ring depth.
 //!
 //! # Parallel level scanning and determinism
 //!
@@ -106,7 +120,7 @@ use revsynth_bfs::SearchTables;
 use revsynth_canon::Symmetries;
 use revsynth_circuit::CostKind;
 use revsynth_perm::Perm;
-use revsynth_table::{FnTable, InvariantIndex, ProbeRing};
+use revsynth_table::{InvariantIndex, ProbeRing};
 
 use crate::error::SynthesisError;
 use crate::synth::{Synthesis, Synthesizer};
@@ -428,35 +442,53 @@ impl Synthesizer {
     }
 
     /// Reconstructs the class member a hit identifies and assembles the
-    /// minimal circuit `f = (f.then(m)) .then m⁻¹`.
-    pub(crate) fn resolve_hit(&self, f: Perm, hit: &Hit, stats: SearchStats) -> Synthesis {
-        let sym = self.tables().sym();
-        let tau_inv = sym.relabelings()[hit.step as usize].inverse();
-        let member = match hit.side {
-            Side::Fwd => hit.rep.conjugate_by_wires(tau_inv),
-            Side::Inv => hit.rep.inverse().conjugate_by_wires(tau_inv),
+    /// minimal circuit `f = (f.then(m)) .then m⁻¹`, certified: both halves
+    /// must be stored with the sizes the scan proved (residue `k`, member
+    /// the hit's level) and the circuit must compute `f`.
+    pub(crate) fn resolve_hit(
+        &self,
+        f: Perm,
+        hit: &Hit,
+        stats: SearchStats,
+    ) -> Result<Synthesis, SynthesisError> {
+        let corrupt = |detail| SynthesisError::CorruptTables {
+            function: f,
+            detail,
         };
-        let residue = f.then(member);
+        let (residue, member) = self.split(f, hit.rep, hit.side, hit.step);
         let front = self
             .peel(residue)
-            .expect("hit guarantees size(residue) ≤ k");
+            .map_err(corrupt)?
+            .ok_or_else(|| corrupt("the residue of a hit is not stored"))?;
         let back = self
             .peel(member.inverse())
-            .expect("member inverse has size = level ≤ k");
-        debug_assert_eq!(front.len(), self.tables().k(), "first hit has residue k");
-        debug_assert_eq!(
-            back.len(),
-            hit.level,
-            "suffix must have the hit level's size"
-        );
+            .map_err(corrupt)?
+            .ok_or_else(|| corrupt("a stored representative is not stored"))?;
+        if front.len() != self.tables().k() || back.len() != hit.level {
+            return Err(corrupt("the halves of a hit do not have the proved sizes"));
+        }
         let circuit = front.then(&back);
-        Synthesis {
+        if circuit.perm(self.wires()) != f {
+            return Err(corrupt("the assembled circuit does not compute the query"));
+        }
+        Ok(Synthesis {
             cost: circuit.len() as u64,
             circuit,
             lists_scanned: hit.level,
             candidates_tested: stats.canonicalized,
             stats,
-        }
+        })
+    }
+
+    /// The split a hit identifies: `(f.then(member), member)` for the
+    /// class member `conj_{τ⁻¹}(rep)` or `conj_{τ⁻¹}(rep⁻¹)`.
+    fn split(&self, f: Perm, rep: Perm, side: Side, step: u32) -> (Perm, Perm) {
+        let tau_inv = self.tables().sym().relabelings()[step as usize].inverse();
+        let member = match side {
+            Side::Fwd => rep.conjugate_by_wires(tau_inv),
+            Side::Inv => rep.inverse().conjugate_by_wires(tau_inv),
+        };
+        (f.then(member), member)
     }
 
     /// The **cost-bounded** meet-in-the-middle scan, for cost-bucketed
@@ -570,39 +602,46 @@ impl Synthesizer {
             .collect()
     }
 
-    /// Reconstructs the minimal-cost circuit a [`CostHit`] identifies.
-    pub(crate) fn resolve_cost_hit(&self, f: Perm, hit: &CostHit, stats: SearchStats) -> Synthesis {
-        let sym = self.tables().sym();
-        let tau_inv = sym.relabelings()[hit.step as usize].inverse();
-        let member = match hit.side {
-            Side::Fwd => hit.rep.conjugate_by_wires(tau_inv),
-            Side::Inv => hit.rep.inverse().conjugate_by_wires(tau_inv),
+    /// Reconstructs the minimal-cost circuit a [`CostHit`] identifies,
+    /// certified like [`resolve_hit`](Self::resolve_hit): the front half
+    /// must cost exactly its residue bucket, the whole circuit exactly the
+    /// hit's total, and it must compute `f`.
+    pub(crate) fn resolve_cost_hit(
+        &self,
+        f: Perm,
+        hit: &CostHit,
+        stats: SearchStats,
+    ) -> Result<Synthesis, SynthesisError> {
+        let corrupt = |detail| SynthesisError::CorruptTables {
+            function: f,
+            detail,
         };
-        let residue = f.then(member);
+        let model = self.tables().model();
+        let (residue, member) = self.split(f, hit.rep, hit.side, hit.step);
         let front = self
             .peel(residue)
-            .expect("hit guarantees the residue is stored");
+            .map_err(corrupt)?
+            .ok_or_else(|| corrupt("the residue of a hit is not stored"))?;
         let back = self
             .peel(member.inverse())
-            .expect("member inverse shares the member's stored bucket");
-        debug_assert_eq!(
-            front.cost(self.tables().model()),
-            self.tables().bucket_cost(hit.residue_bucket),
-            "front half must realize the residue bucket's exact cost"
-        );
+            .map_err(corrupt)?
+            .ok_or_else(|| corrupt("a stored representative is not stored"))?;
         let circuit = front.then(&back);
-        debug_assert_eq!(
-            circuit.cost(self.tables().model()),
-            hit.total,
-            "assembled halves must realize the hit's exact total cost"
-        );
-        Synthesis {
+        if front.cost(model) != self.tables().bucket_cost(hit.residue_bucket)
+            || circuit.cost(model) != hit.total
+        {
+            return Err(corrupt("the halves of a hit do not have the proved costs"));
+        }
+        if circuit.perm(self.wires()) != f {
+            return Err(corrupt("the assembled circuit does not compute the query"));
+        }
+        Ok(Synthesis {
             cost: hit.total,
             circuit,
             lists_scanned: hit.bucket,
             candidates_tested: stats.canonicalized,
             stats,
-        }
+        })
     }
 
     /// Synthesizes a whole batch of functions through one frame-hoisted,
@@ -639,7 +678,17 @@ impl Synthesizer {
                 results[j] = Some(Err(e));
                 continue;
             }
-            if let Some(circuit) = self.peel(f) {
+            let peeled = match self.peel(f) {
+                Ok(peeled) => peeled,
+                Err(detail) => {
+                    results[j] = Some(Err(SynthesisError::CorruptTables {
+                        function: f,
+                        detail,
+                    }));
+                    continue;
+                }
+            };
+            if let Some(circuit) = peeled {
                 // On unit tables the model cost is the gate count, so
                 // this is the historical `len > limit` check verbatim.
                 let cost = circuit.cost(self.tables().model());
@@ -665,7 +714,7 @@ impl Synthesizer {
             for (slot, &j) in open_idx.iter().enumerate() {
                 let (ref hit, stats) = outcome[slot];
                 results[j] = Some(match hit {
-                    Some(hit) => Ok(self.resolve_cost_hit(fs[j], hit, stats)),
+                    Some(hit) => self.resolve_cost_hit(fs[j], hit, stats),
                     None => Err(SynthesisError::SizeExceedsLimit {
                         function: fs[j],
                         limit,
@@ -677,7 +726,7 @@ impl Synthesizer {
             let outcome = self.mitm_scan(&queries, deepest, opts);
             for (slot, &j) in open_idx.iter().enumerate() {
                 results[j] = Some(match outcome.hits[slot] {
-                    Some(ref hit) => Ok(self.resolve_hit(fs[j], hit, outcome.stats[slot])),
+                    Some(ref hit) => self.resolve_hit(fs[j], hit, outcome.stats[slot]),
                     None => Err(SynthesisError::SizeExceedsLimit {
                         function: fs[j],
                         limit,
@@ -898,6 +947,13 @@ struct InFlight {
 /// is the one at the smallest `(rep, side, frame)` regardless of the
 /// wavefront depth, and the gate never skips a candidate that could hit
 /// (see the module docs), so the gate setting cannot change it either.
+///
+/// The gate runs a stage ahead: the ≤ 2·n! candidates of one
+/// representative and one query are gated as one batch
+/// ([`InvariantIndex::admits_batch`]), then replayed in order through
+/// count → gated? → canonicalize → probe ring. The replay stops exactly
+/// where a candidate-at-a-time loop would; verdicts for candidates past
+/// a hit are speculative work and are not counted.
 fn scan_shard(
     tables: &SearchTables,
     shard: &[Perm],
@@ -914,6 +970,7 @@ fn scan_shard(
     let mut rings: Vec<ProbeRing<InFlight>> =
         open.iter().map(|_| ProbeRing::new(probe_depth)).collect();
     let mut remaining = open.len();
+    let mut batch: Vec<Perm> = Vec::new();
     'reps: for &rep in shard {
         // A self-inverse representative contributes the same candidate
         // classes on both sides; skip the redundant inverse side.
@@ -923,47 +980,39 @@ fn scan_shard(
                 continue;
             }
             let query = &queries[q];
+            batch.clear();
+            batch.extend(query.fwd.iter().map(|&(frame, _)| frame.then(rep)));
+            if !rep_self_inverse {
+                batch.extend(query.inv.iter().map(|&(frame, _)| rep.then(frame)));
+            }
+            // A hit's residue has distance exactly `budget` (= k); a
+            // candidate no stored function of that size shares invariants
+            // with must miss the probe, so it is never canonicalized.
+            let admitted = gate.map_or(u64::MAX, |index| index.admits_batch(&batch, budget));
             let ring = &mut rings[slot];
             let stat = &mut stats[slot];
-            let mut found = None;
-            for &(frame, step) in &query.fwd {
-                found = push_candidate(
-                    table,
-                    sym,
-                    gate,
-                    budget,
-                    ring,
-                    stat,
-                    frame.then(rep),
-                    rep,
-                    Side::Fwd,
-                    step,
-                );
-                if found.is_some() {
-                    break;
+            for (j, &composition) in batch.iter().enumerate() {
+                stat.considered += 1;
+                if admitted >> j & 1 == 0 {
+                    stat.gated += 1;
+                    continue;
                 }
-            }
-            if found.is_none() && !rep_self_inverse {
-                for &(frame, step) in &query.inv {
-                    found = push_candidate(
-                        table,
-                        sym,
-                        gate,
-                        budget,
-                        ring,
-                        stat,
-                        rep.then(frame),
-                        rep,
-                        Side::Inv,
-                        step,
-                    );
-                    if found.is_some() {
+                let canon = sym.canonical(composition);
+                stat.canonicalized += 1;
+                let (side, step) = match query.fwd.get(j) {
+                    Some(&(_, step)) => (Side::Fwd, step),
+                    None => (Side::Inv, query.inv[j - query.fwd.len()].1),
+                };
+                let tag = InFlight { rep, side, step };
+                if let Some((prev, tag)) = ring.push(table.probe_start(canon), tag) {
+                    stat.probed += 1;
+                    if table.probe_finish(prev) {
+                        hits[slot] = Some((tag.rep, tag.side, tag.step));
                         break;
                     }
                 }
             }
-            if found.is_some() {
-                hits[slot] = found;
+            if hits[slot].is_some() {
                 ring.clear();
                 remaining -= 1;
                 if remaining == 0 {
@@ -987,45 +1036,6 @@ fn scan_shard(
         }
     }
     ShardResult { hits, stats }
-}
-
-/// Runs one candidate composition through the gate → canonicalize →
-/// probe-wavefront pipeline. Returns the hit evicted-and-resolved from
-/// the wavefront, if the oldest in-flight probe succeeded.
-#[allow(clippy::too_many_arguments)] // hot inner kernel, deliberately flat
-#[inline]
-fn push_candidate(
-    table: &FnTable,
-    sym: &Symmetries,
-    gate: Option<&InvariantIndex>,
-    budget: usize,
-    ring: &mut ProbeRing<InFlight>,
-    stats: &mut SearchStats,
-    composition: Perm,
-    rep: Perm,
-    side: Side,
-    step: u32,
-) -> Option<(Perm, Side, u32)> {
-    stats.considered += 1;
-    if let Some(index) = gate {
-        // A hit's residue has distance exactly `budget` (= k); if no
-        // stored function of that size shares the composition's class
-        // invariants, the probe must miss — skip the canonicalization.
-        if !index.admits(composition, budget) {
-            stats.gated += 1;
-            return None;
-        }
-    }
-    let canon = sym.canonical(composition);
-    stats.canonicalized += 1;
-    let probe = table.probe_start(canon);
-    if let Some((prev, tag)) = ring.push(probe, InFlight { rep, side, step }) {
-        stats.probed += 1;
-        if table.probe_finish(prev) {
-            return Some((tag.rep, tag.side, tag.step));
-        }
-    }
-    None
 }
 
 #[cfg(test)]

@@ -121,7 +121,13 @@ impl Synthesizer {
             return self.synthesize_with(f, &SearchOptions::new().threads(1).limit(limit));
         }
         // Fast path: size ≤ k.
-        if let Some(circuit) = self.peel(f) {
+        let peeled = self
+            .peel(f)
+            .map_err(|detail| SynthesisError::CorruptTables {
+                function: f,
+                detail,
+            })?;
+        if let Some(circuit) = peeled {
             if circuit.len() > limit {
                 return Err(SynthesisError::SizeExceedsLimit { function: f, limit });
             }
@@ -142,7 +148,7 @@ impl Synthesizer {
         let opts = SearchOptions::new().threads(1);
         let outcome = self.mitm_scan(std::slice::from_ref(&query), deepest, &opts);
         match outcome.hits[0] {
-            Some(ref hit) => Ok(self.resolve_hit(f, hit, outcome.stats[0])),
+            Some(ref hit) => self.resolve_hit(f, hit, outcome.stats[0]),
             None => Err(SynthesisError::SizeExceedsLimit { function: f, limit }),
         }
     }
@@ -189,14 +195,20 @@ impl Synthesizer {
 
     /// Fast path: reconstructs a minimal circuit for a function of size
     /// ≤ k by repeatedly looking up the stored boundary gate and peeling
-    /// it from the recorded side. Returns `None` when size(f) > k.
+    /// it from the recorded side. Returns `Ok(None)` when size(f) > k.
     ///
     /// Peeling side: with canonicalization witness (`inverted`, `σ`) and a
     /// stored record (`λ̄`, `is_first` relative to the representative's
     /// minimal circuit), the gate `λ = conj_{σ⁻¹}(λ̄)` sits at the **back**
     /// of `f`'s circuit iff `inverted == is_first` (all four cases are
     /// derived in the module tests and exercised exhaustively for n ≤ 3).
-    pub(crate) fn peel(&self, f: Perm) -> Option<Circuit> {
+    ///
+    /// The tables may come from a mapped store whose bulk checksums were
+    /// never verified, so every record is distrusted: a malformed byte, a
+    /// walk that leaves the table or does not reach the identity within
+    /// the stored depth, or a circuit that does not compute `f` is an
+    /// `Err` naming the failed check, never a panic.
+    pub(crate) fn peel(&self, f: Perm) -> Result<Option<Circuit>, &'static str> {
         let n = self.tables.wires();
         let sym = self.tables.sym();
         let mut front: Vec<Gate> = Vec::new();
@@ -206,18 +218,31 @@ impl Synthesizer {
         // peel at most max_cost gates (every gate costs ≥ 1, and each
         // peel lands in a strictly cheaper bucket). max_cost == k on
         // unit tables, so this is one bound for both.
-        for _ in 0..=self.tables.max_cost() as usize {
+        for step in 0..=self.tables.max_cost() as usize {
             if cur.is_identity() {
                 front.extend(back.iter().rev());
-                return Some(Circuit::from_gates(front));
+                let circuit = Circuit::from_gates(front);
+                if circuit.perm(n) != f {
+                    return Err("a peeled circuit does not compute its function");
+                }
+                return Ok(Some(circuit));
             }
             let w = sym.canonicalize(cur);
-            match self.tables.lookup(w.rep)? {
-                StoredGate::Identity => {
-                    unreachable!("identity record for non-identity function")
+            let record = self
+                .tables
+                .lookup(w.rep)
+                .map_err(|_| "a stored gate record is malformed")?;
+            match record {
+                None if step == 0 => return Ok(None),
+                None => return Err("peeling a stored function left the table"),
+                Some(StoredGate::Identity) => {
+                    return Err("a non-identity function has the identity record")
                 }
-                StoredGate::Gate { gate, is_first } => {
+                Some(StoredGate::Gate { gate, is_first }) => {
                     let lam = sym.gate_from_rep(&w, gate);
+                    if usize::from(lam.max_wire()) >= n {
+                        return Err("a stored gate touches a wire outside the domain");
+                    }
                     let lam_perm = lam.perm(n);
                     if w.inverted == is_first {
                         back.push(lam);
@@ -229,7 +254,7 @@ impl Synthesizer {
                 }
             }
         }
-        unreachable!("peeling exceeded k steps: table invariant violated")
+        Err("peeling exceeded the stored depth")
     }
 }
 

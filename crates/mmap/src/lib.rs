@@ -34,6 +34,10 @@
 //!   pages. This is the documented, accepted risk of any mmap consumer;
 //!   the store mitigates it by only ever replacing stores via
 //!   `rename(2)`, which leaves open mappings on the old inode intact.
+//! * **Prefetch hints.** [`prefetch_read`] issues a cache prefetch
+//!   instruction for the address of a live reference. A prefetch is a
+//!   hint: it never faults, never writes, and has no effect a program can
+//!   observe other than timing, so it cannot break any invariant above.
 
 pub mod net;
 
@@ -67,6 +71,38 @@ unsafe impl Pod for u64 {}
 // every bit pattern is a valid — if possibly non-permutation — value.
 // Semantic validation stays with the store loader.
 unsafe impl Pod for Perm {}
+
+/// Asks the CPU to start loading the cache line that holds `value` into
+/// the L1 data cache, without waiting for it.
+///
+/// Table lookups that miss the last-level cache spend most of their time
+/// waiting for that one line. Issuing the prefetch a stage ahead of the
+/// read lets several such misses overlap. The value is not read and
+/// nothing observable changes: on x86_64 this is `prefetcht0`, on aarch64
+/// `prfm pldl1keep`, and on other targets it compiles to nothing.
+#[inline(always)]
+pub fn prefetch_read<T>(value: &T) {
+    let ptr: *const T = value;
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `prefetcht0` is a hint that never faults and never writes;
+    // `ptr` comes from a live reference, and SSE is part of the x86_64
+    // baseline.
+    unsafe {
+        std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(ptr.cast());
+    }
+    #[cfg(target_arch = "aarch64")]
+    // SAFETY: `prfm` is a hint that never faults, writes no memory and
+    // no flags; `ptr` comes from a live reference.
+    unsafe {
+        std::arch::asm!(
+            "prfm pldl1keep, [{0}]",
+            in(reg) ptr,
+            options(nostack, readonly, preserves_flags)
+        );
+    }
+    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+    let _ = ptr;
+}
 
 /// A read-only byte region backed by either an `mmap`ed file or an
 /// aligned heap copy of its contents.
@@ -487,6 +523,25 @@ mod tests {
             // file handle and the original Arc both drop here
         };
         assert!(slice.iter().all(|&b| b == 0xA5));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn prefetch_leaves_values_unchanged() {
+        let words: Vec<u64> = (0..1024u64).map(|w| w ^ 0x5A5A_5A5A).collect();
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let path = temp_file("prefetch", &bytes);
+        let mut f = File::open(&path).unwrap();
+        let region = Arc::new(Region::map_file(&mut f).unwrap());
+        let mapped = ArcSlice::<u64>::new(region, 0, words.len()).unwrap();
+        for slice in [&words[..], &mapped[..]] {
+            let (first, last) = (slice[0], slice[slice.len() - 1]);
+            prefetch_read(&slice[0]);
+            prefetch_read(&slice[slice.len() - 1]);
+            assert_eq!((slice[0], slice[slice.len() - 1]), (first, last));
+        }
+        #[cfg(target_endian = "little")]
+        assert_eq!(&mapped[..], &words[..]);
         std::fs::remove_file(&path).ok();
     }
 

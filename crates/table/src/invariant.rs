@@ -22,7 +22,7 @@
 //! widens a mask — the gate stays sound (it can pass a doomed candidate,
 //! never reject a viable one).
 
-use revsynth_mmap::ArcSlice;
+use revsynth_mmap::{prefetch_read, ArcSlice};
 use revsynth_perm::{hash64shift, Perm};
 
 use crate::storage::RawStore;
@@ -59,6 +59,12 @@ pub struct InvariantIndex {
 }
 
 impl InvariantIndex {
+    /// The most candidates one [`admits_batch`](Self::admits_batch) call
+    /// takes: one bit of its `u64` answer each. The engine's batches are
+    /// the ≤ 2·n! = 48 compositions of one representative with one
+    /// query's frames.
+    pub const MAX_BATCH: usize = 64;
+
     /// The combined invariant key of a function: its cycle type
     /// ([`Perm::cycle_type_key`]) mixed with its wire-weight profile
     /// ([`Perm::wire_weight_key`]). Constant on every ×48 equivalence
@@ -226,7 +232,9 @@ impl InvariantIndex {
     /// Evaluates in two stages — the cheap weight key against the
     /// prefilter bitmap first, the full combined key against the index
     /// only for survivors — and is exactly equivalent to
-    /// `admits_at(key_of(f), distance)`.
+    /// `admits_at(key_of(f), distance)`. This is the one-candidate
+    /// reference; the search engine gates whole batches with
+    /// [`admits_batch`](Self::admits_batch).
     #[inline]
     #[must_use]
     pub fn admits(&self, f: Perm, distance: usize) -> bool {
@@ -236,6 +244,63 @@ impl InvariantIndex {
             return false;
         }
         self.admits_at(hash64shift(f.cycle_type_key()) ^ weight, distance)
+    }
+
+    /// The gate for a batch of candidates: bit `i` of the result is
+    /// [`admits(fs[i], distance)`](Self::admits).
+    ///
+    /// On tables larger than the cache both stages of the gate are a
+    /// dependent cache miss, one into the prefilter bitmap and one into
+    /// the index. Asked one candidate at a time they run back to back;
+    /// here the batch runs in three passes so that the misses of a pass
+    /// overlap each other and the arithmetic of the next candidates:
+    ///
+    /// 1. compute every weight key and prefetch its prefilter word;
+    /// 2. test the words, and for each survivor compute the combined key
+    ///    and prefetch its home slot in both the key and the mask array;
+    /// 3. resolve each survivor's distance mask.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fs` holds more than [`MAX_BATCH`](Self::MAX_BATCH)
+    /// candidates.
+    #[must_use]
+    pub fn admits_batch(&self, fs: &[Perm], distance: usize) -> u64 {
+        assert!(
+            fs.len() <= Self::MAX_BATCH,
+            "gate batch of {} exceeds {}",
+            fs.len(),
+            Self::MAX_BATCH
+        );
+        let mut keys = [0u64; Self::MAX_BATCH];
+        let mut bits = [0u64; Self::MAX_BATCH];
+        for ((key, bit), &f) in keys.iter_mut().zip(&mut bits).zip(fs) {
+            *key = f.wire_weight_key();
+            *bit = hash64shift(*key) & self.weight_bit_mask;
+            prefetch_read(&self.weight_bits[(*bit >> 6) as usize]);
+        }
+        let mut survivors = 0u64;
+        for (i, ((key, &bit), &f)) in keys.iter_mut().zip(&bits).zip(fs).enumerate() {
+            if self.weight_bits[(bit >> 6) as usize] >> (bit & 63) & 1 == 1 {
+                survivors |= 1 << i;
+                *key ^= hash64shift(f.cycle_type_key());
+                let home = self.home_slot(*key);
+                prefetch_read(&self.keys[home]);
+                prefetch_read(&self.masks[home]);
+            }
+        }
+        let mut admitted = 0u64;
+        while survivors != 0 {
+            let i = survivors.trailing_zeros() as usize;
+            survivors &= survivors - 1;
+            admitted |= u64::from(self.admits_at(keys[i], distance)) << i;
+        }
+        admitted
+    }
+
+    #[inline]
+    fn home_slot(&self, key: u64) -> usize {
+        (hash64shift(key) & self.slot_mask) as usize
     }
 
     fn insert(&mut self, key: u64, mask_bit: u32) {
@@ -290,7 +355,7 @@ impl InvariantIndex {
     #[inline]
     #[must_use]
     pub fn distance_mask(&self, key: u64) -> u32 {
-        let mut i = (hash64shift(key) & self.slot_mask) as usize;
+        let mut i = self.home_slot(key);
         loop {
             let mask = self.masks[i];
             if mask == 0 {
@@ -496,23 +561,49 @@ mod tests {
     #[test]
     fn staged_admits_equals_exact_admits() {
         // The weight-key prefilter may only reject what the exact lookup
-        // also rejects: both paths must agree on every candidate and
-        // distance.
+        // also rejects, and the batched gate must answer exactly like the
+        // one-candidate gate: all three agree on every candidate, distance
+        // and batch length, on a built index and on its compact layout.
         let entries: Vec<(Perm, usize)> = (0..100u64)
             .map(|i| (perm_of(i), (i % 6) as usize))
             .collect();
-        let index = InvariantIndex::build(entries.iter().copied(), entries.len());
-        for i in 0..500u64 {
-            let p = perm_of(i);
-            let key = InvariantIndex::key_of(p);
-            for d in 0..8 {
-                assert_eq!(
-                    index.admits(p, d),
-                    index.admits_at(key, d),
-                    "perm {i}, distance {d}"
-                );
+        let built = InvariantIndex::build(entries.iter().copied(), entries.len());
+        let candidates: Vec<Perm> = (0..500u64).map(perm_of).collect();
+        for index in [built.compact(), built] {
+            for (i, &p) in candidates.iter().enumerate() {
+                let key = InvariantIndex::key_of(p);
+                for d in 0..8 {
+                    assert_eq!(
+                        index.admits(p, d),
+                        index.admits_at(key, d),
+                        "perm {i}, distance {d}"
+                    );
+                }
+            }
+            for len in 0..=48 {
+                for start in (0..candidates.len() - len).step_by(37) {
+                    let batch = &candidates[start..start + len];
+                    for d in 0..8 {
+                        let admitted = index.admits_batch(batch, d);
+                        assert_eq!(admitted >> len, 0, "bits past the batch stay clear");
+                        for (j, &p) in batch.iter().enumerate() {
+                            assert_eq!(
+                                admitted >> j & 1 == 1,
+                                index.admits(p, d),
+                                "batch {start}+{len}, entry {j}, distance {d}"
+                            );
+                        }
+                    }
+                }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds")]
+    fn oversized_gate_batches_are_rejected() {
+        let index = InvariantIndex::build([(Perm::identity(), 0)], 1);
+        let _ = index.admits_batch(&[Perm::identity(); InvariantIndex::MAX_BATCH + 1], 0);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! [`FnTable::probe_start`](crate::FnTable::probe_start) /
 //! [`probe_finish`](crate::FnTable::probe_finish) split a membership test
-//! into an issue half (hash + home-slot read, which doubles as a software
-//! prefetch) and a resolve half. A [`ProbeRing`] generalizes the
+//! into an issue half (hash + a software prefetch of the home slot,
+//! [`revsynth_mmap::prefetch_read`]) and a resolve half (read the slot,
+//! walk the probe sequence). A [`ProbeRing`] generalizes the
 //! two-stage pipeline to a W-deep wavefront: pushing a new probe evicts
 //! and returns the **oldest** in-flight probe once the ring is full, so a
 //! caller that pushes one probe per candidate keeps `W − 1` memory
@@ -60,7 +61,7 @@ impl<T> ProbeRing<T> {
 
     /// Adds a probe to the wavefront. If the ring is already full, the
     /// **oldest** probe is evicted and returned — resolve it now (its
-    /// home-slot load has had the longest time to complete).
+    /// home-slot prefetch has had the longest time to complete).
     #[inline]
     pub fn push(&mut self, probe: Probe, tag: T) -> Option<(Probe, T)> {
         let evicted = if self.len == self.buf.len() {

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use revsynth_mmap::ArcSlice;
+use revsynth_mmap::{prefetch_read, ArcSlice};
 use revsynth_perm::{hash64shift, Perm};
 
 use crate::ring::ProbeRing;
@@ -233,19 +233,22 @@ impl FnTable {
         }
     }
 
-    /// Starts a pipelined membership probe for `key`: hashes, reads the
-    /// home slot and returns the in-flight [`Probe`].
+    /// Starts a pipelined membership probe for `key`: hashes it, issues a
+    /// software prefetch of its home slot ([`prefetch_read`]) and returns
+    /// the in-flight [`Probe`] without touching the slot.
     ///
-    /// The home-slot read doubles as a software prefetch — on the
-    /// multi-GB tables of the paper's k = 8–9 regime every probe is a
-    /// cache miss, so the meet-in-the-middle inner loop starts the next
-    /// candidate's probe *before* finishing the current one, hiding the
-    /// memory latency behind the next ~750-instruction canonicalization
-    /// ([`contains`](Self::contains) by contrast stalls on the load).
+    /// On the multi-GB tables of the paper's k = 8–9 regime (and already
+    /// at k = 7) every probe is a cache miss. The meet-in-the-middle inner
+    /// loop therefore starts the next candidates' probes *before*
+    /// finishing the current one, so the home-slot loads run behind the
+    /// next ~750-instruction canonicalizations instead of one after
+    /// another ([`contains`](Self::contains) by contrast stalls on the
+    /// load).
     ///
-    /// Resolve with [`probe_finish`](Self::probe_finish). The probe is
-    /// only meaningful against an unmodified table: inserting between
-    /// start and finish may yield a stale answer.
+    /// Resolve with [`probe_finish`](Self::probe_finish), which reads the
+    /// home slot. The probe is only meaningful against an unmodified
+    /// table: an insertion between start and finish may grow it and move
+    /// the key's home slot.
     #[inline]
     #[must_use]
     pub fn probe_start(&self, key: Perm) -> Probe {
@@ -255,25 +258,18 @@ impl FnTable {
     #[inline]
     fn probe_start_raw(&self, key: u64) -> Probe {
         let slot = self.home_slot(key);
-        Probe {
-            key,
-            slot,
-            first: self.keys[slot],
-        }
+        prefetch_read(&self.keys[slot]);
+        Probe { key, slot }
     }
 
     /// Resolves a probe started by [`probe_start`](Self::probe_start):
-    /// whether the key is present.
+    /// whether the key is present. Walks the probe sequence from the home
+    /// slot, whose cache line the prefetch has been loading since the
+    /// probe started.
     #[inline]
     #[must_use]
     pub fn probe_finish(&self, probe: Probe) -> bool {
-        if probe.first == probe.key {
-            return true;
-        }
-        if probe.first == EMPTY {
-            return false;
-        }
-        let mut i = (probe.slot + 1) & self.mask as usize;
+        let mut i = probe.slot;
         loop {
             let slot = self.keys[i];
             if slot == probe.key {
@@ -368,10 +364,10 @@ impl FnTable {
     }
 
     /// Ring depth for the rehashing wavefront: every relocated key's home
-    /// slot is read (= prefetched) this many insertions ahead of the
-    /// serial walk that places it, so a growth pass keeps several of the
-    /// new arrays' cache lines in flight instead of stalling on one
-    /// dependent miss per key.
+    /// slot in the new arrays is prefetched ([`FnTable::probe_start`])
+    /// this many insertions ahead of the serial walk that places it, so a
+    /// growth pass keeps several of the new arrays' cache lines in flight
+    /// instead of stalling on one dependent miss per key.
     const GROW_WAVEFRONT: usize = 8;
 
     fn grow(&mut self) {
@@ -395,12 +391,10 @@ impl FnTable {
     }
 
     /// Resolves one relocated key from the growth wavefront: walks from
-    /// the probed home slot (whose cache line the probe already pulled in)
-    /// to the first empty slot and places the key there. The probe's
-    /// cached first read is deliberately ignored — insertions issued since
-    /// the probe started may have filled it — so the walk re-reads the
-    /// live (now warm) array; keys are distinct during a rehash, so the
-    /// first empty slot is always the correct destination.
+    /// the probed home slot (whose cache line the probe's prefetch pulled
+    /// in) to the first empty slot and places the key there. Keys are
+    /// distinct during a rehash, so the first empty slot is always the
+    /// correct destination.
     fn insert_relocated(&mut self, probe: Probe, value: u8) {
         let mask = self.mask;
         let mut i = probe.slot;
@@ -496,14 +490,13 @@ impl FnTable {
     }
 }
 
-/// An in-flight membership probe: the hashed key, its home slot and the
-/// first slot value already read. Created by [`FnTable::probe_start`],
-/// consumed by [`FnTable::probe_finish`].
+/// An in-flight membership probe: the packed key and its home slot,
+/// whose cache line is being prefetched. Created by
+/// [`FnTable::probe_start`], consumed by [`FnTable::probe_finish`].
 #[derive(Debug, Clone, Copy)]
 pub struct Probe {
     key: u64,
     slot: usize,
-    first: u64,
 }
 
 impl fmt::Debug for FnTable {

@@ -20,7 +20,7 @@
 
 use revsynth_bench::{arg_or, load_or_generate};
 use revsynth_circuit::{CostModel, GateLib};
-use revsynth_core::{CostSynthesizer, DepthSynthesizer, Synthesizer};
+use revsynth_core::{DepthSynthesizer, Synthesizer};
 use revsynth_specs::benchmarks;
 
 fn main() {
@@ -61,7 +61,12 @@ fn main() {
     // ---- 2. Gate count vs quantum cost ----
     println!("\n# Ablation 2 — gate-count optimum vs quantum-cost optimum (n = 3)");
     let model = CostModel::quantum();
-    let cost_synth = CostSynthesizer::generate(GateLib::nct(3), model, 14);
+    // Budget 9 reaches quantum cost 2·9 − 5 + 1 = 14.
+    let cost_synth = Synthesizer::new(revsynth_bfs::SearchTables::generate_weighted(
+        GateLib::nct(3),
+        model,
+        9,
+    ));
     let gate_synth = Synthesizer::from_scratch(3, 3);
     let (mut classes, mut cheaper, mut cost_sum_gate, mut cost_sum_cheap) =
         (0u64, 0u64, 0u64, 0u64);
@@ -71,7 +76,7 @@ fn main() {
             let Ok(small) = gate_synth.synthesize(rep) else {
                 continue;
             };
-            let Some(cheap) = cost_synth.synthesize(rep) else {
+            let Ok(cheap) = cost_synth.synthesize(rep) else {
                 continue;
             };
             classes += 1;

@@ -586,9 +586,9 @@ impl SearchTables {
     /// gate-count levels — i.e. the tables were built under a non-unit
     /// model. (The bucket *labels* alone cannot tell: quantum costs on
     /// small libraries happen to be contiguous integers, yet bucket 5
-    /// holds the 1-gate Toffoli.) The engine routes non-bucketed tables
-    /// through the gate-count scan, keeping its results bit-identical to
-    /// the pre-cost-model engine.
+    /// holds the 1-gate Toffoli.) The search engine needs no such branch
+    /// — one residue rule covers both kinds — but cost-unit callers such
+    /// as the peephole optimizer's window bound do.
     #[must_use]
     pub fn is_cost_bucketed(&self) -> bool {
         self.model != CostModel::unit()

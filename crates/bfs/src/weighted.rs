@@ -34,13 +34,13 @@
 //! representatives of optimal cost exactly `bucket_costs[i]`, with
 //! `bucket_costs` strictly ascending from 0 (the identity). The unit
 //! model degenerates to `bucket_costs[i] == i` — the same level layout
-//! the breadth-first paths produce — which is how the engine recognizes
-//! gate-count tables and keeps their scan bit-identical.
+//! the breadth-first paths produce — so the engine's one residue rule
+//! reduces to the gate-count scan on it.
 //!
 //! The [`InvariantIndex`] is keyed by **bucket index** (not raw cost),
-//! so the cost-bounded engine's gate asks "does any stored class in
-//! residual-cost bucket `b` share this candidate's invariants" — the
-//! exact-`k` residue argument of the gate-count gate generalized to
+//! so the scan's gate asks "does any stored class in an allowed
+//! residue bucket share this candidate's invariants" — the exact-`k`
+//! residue argument of the gate-count gate generalized to
 //! exact-residual-cost buckets. Bucket indices must fit the index's
 //! 32-bit distance masks, hence the budget assertion below.
 

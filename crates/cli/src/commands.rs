@@ -21,8 +21,6 @@ USAGE:
     revsynth <COMMAND> [OPTIONS]
 
 COMMANDS:
-    bfs        --k <K> [--n <N>] [--out <FILE>] [--threads <T>]
-               Generate the breadth-first tables and optionally save them.
     tables     generate --out <FILE> [--n <N>] [--k <K>] [--model unit|quantum]
                         [--budget <B>] [--threads <T>] [--shards <S>]
                         [--max-mem <BYTES>] [--resume] [--format v4|v5]
@@ -54,15 +52,15 @@ COMMANDS:
                [--no-filter] [--probe-depth <W>] [--verbose]
                Synthesize a cost-minimal circuit for a permutation.
                --cost picks the model (default gates): quantum runs the
-               cost-bounded engine over cost-bucketed tables generated
-               to --cost-budget (default 13, covering every single
-               gate); depth minimizes parallel time steps with
-               --cost-budget layers (default 3). --threads 0 = all
-               cores (level-scan sharding applies to --cost gates; the
-               cost-bounded quantum scan is serial); --no-filter disables the invariant candidate gate
-               and --probe-depth sets the probe-wavefront depth, both
-               for A/B runs — results are identical; --verbose prints
-               gate selectivity.
+               same meet-in-the-middle scan over cost-bucketed tables
+               generated to --cost-budget (default 13, covering every
+               single gate); depth minimizes parallel time steps with
+               --cost-budget layers (default 3). --threads shards the
+               scan under gates and quantum (0 = all cores);
+               --no-filter disables the invariant candidate gate and
+               --probe-depth sets the probe-wavefront depth, both for
+               A/B runs — results are identical; --verbose prints gate
+               selectivity.
     benchmarks [--k <K>] [--tables <FILE>]
                Synthesize the paper's Table 6 benchmark suite.
     random     [--samples <N>] [--k <K>] [--seed <S>] [--tables <FILE>]
@@ -81,10 +79,6 @@ COMMANDS:
                Hash-table statistics (paper Table 2).
     peephole   --circuit \"<GATES>\" [--k <K>] [--window <W>] [--tables <FILE>]
                Locally-optimal compression of a long circuit (paper §1).
-    depth      --spec <P0,..,P15> [--max-depth <D>]
-               Depth-optimal synthesis over parallel layers (paper §5).
-    cost       --spec <P0,..,P15> [--model quantum|unit] [--budget <C>]
-               Cost-optimal synthesis under weighted gates (paper §5).
     serve      [--port <P>] [--cores <N>|auto] [--portable-poll]
                [--workers <W>] [--cache-capacity <C>]
                [--linger-ms <L>] [--k <K>] [--n <N>] [--tables <FILE>]
@@ -179,7 +173,7 @@ COMMANDS:
     help       Show this message.
 
 Tables are regenerated on the fly unless --tables points at a file written
-by `revsynth bfs --out` (the paper's precompute-once workflow).";
+by `revsynth tables generate` (the paper's precompute-once workflow).";
 
 /// Flags that take no value (presence alone means "on").
 const SWITCHES: &[&str] = &[
@@ -317,7 +311,6 @@ pub fn dispatch(args: &[String]) -> CliResult {
     }
     let opts = Opts::parse(&args[1..])?;
     match command.as_str() {
-        "bfs" => cmd_bfs(&opts),
         "synth" => cmd_synth(&opts),
         "benchmarks" => cmd_benchmarks(&opts),
         "random" => cmd_random(&opts),
@@ -325,8 +318,6 @@ pub fn dispatch(args: &[String]) -> CliResult {
         "hard" => cmd_hard(&opts),
         "stats" => cmd_stats(&opts),
         "peephole" => cmd_peephole(&opts),
-        "depth" => cmd_depth(&opts),
-        "cost" => cmd_cost(&opts),
         "serve" => cmd_serve(&opts),
         "query" => cmd_query(&opts),
         "loadgen" => cmd_loadgen(&opts),
@@ -376,33 +367,6 @@ fn tables_from(opts: &Opts, default_k: usize) -> Result<SearchTables, Box<dyn Er
         start.elapsed()
     );
     Ok(tables)
-}
-
-fn cmd_bfs(opts: &Opts) -> CliResult {
-    opts.reject_unknown(&["k", "n", "out", "threads"])?;
-    let k: usize = opts.get_parse("k", 6)?;
-    let n: usize = opts.get_parse("n", 4)?;
-    let threads: usize = opts.get_parse("threads", 1)?;
-    let start = Instant::now();
-    let tables = if threads > 1 {
-        SearchTables::generate_parallel(revsynth_circuit::GateLib::nct(n), k, threads)
-    } else {
-        SearchTables::generate(n, k)
-    };
-    println!(
-        "generated {} classes (n = {n}, k = {k}) in {:.2?}",
-        tables.num_representatives(),
-        start.elapsed()
-    );
-    for c in tables.counts() {
-        println!("{c}");
-    }
-    if let Some(path) = opts.get("out") {
-        let start = Instant::now();
-        tables.save(path)?;
-        println!("saved to {path} in {:.2?}", start.elapsed());
-    }
-    Ok(())
 }
 
 /// Parses a byte count with optional K/M/G suffix (binary multiples).
@@ -1117,55 +1081,6 @@ fn cmd_peephole(opts: &Opts) -> CliResult {
     Ok(())
 }
 
-fn cmd_depth(opts: &Opts) -> CliResult {
-    opts.reject_unknown(&["spec", "max-depth", "n"])?;
-    let spec = opts
-        .get("spec")
-        .ok_or("depth needs --spec 0,1,2,...,15 (a permutation value list)")?;
-    let f = parse_spec(spec)?;
-    let n: usize = opts.get_parse("n", 4)?;
-    let max_depth: usize = opts.get_parse("max-depth", 3)?;
-    eprintln!("generating depth tables (n = {n}, max depth {max_depth}) ...");
-    let synth =
-        revsynth_core::DepthSynthesizer::generate(revsynth_circuit::GateLib::nct(n), max_depth);
-    let circuit = synth.try_synthesize(f)?;
-    println!("function : {f}");
-    println!(
-        "depth    : {} time steps (provably minimal)",
-        circuit.depth()
-    );
-    println!("gates    : {}", circuit.len());
-    println!("circuit  : {circuit}");
-    Ok(())
-}
-
-fn cmd_cost(opts: &Opts) -> CliResult {
-    opts.reject_unknown(&["spec", "model", "budget", "n"])?;
-    let spec = opts
-        .get("spec")
-        .ok_or("cost needs --spec 0,1,2,...,15 (a permutation value list)")?;
-    let f = parse_spec(spec)?;
-    let n: usize = opts.get_parse("n", 4)?;
-    let budget: u64 = opts.get_parse("budget", 16)?;
-    let model = match opts.get("model").unwrap_or("quantum") {
-        "quantum" => revsynth_circuit::CostModel::quantum(),
-        "unit" => revsynth_circuit::CostModel::unit(),
-        other => return Err(format!("unknown cost model `{other}` (quantum|unit)").into()),
-    };
-    eprintln!("generating cost tables (n = {n}, budget {budget}) ...");
-    let synth =
-        revsynth_core::CostSynthesizer::generate(revsynth_circuit::GateLib::nct(n), model, budget);
-    let circuit = synth.try_synthesize(f)?;
-    println!("function : {f}");
-    println!(
-        "cost     : {} (provably minimal under the model)",
-        circuit.cost(&model)
-    );
-    println!("gates    : {}", circuit.len());
-    println!("circuit  : {circuit}");
-    Ok(())
-}
-
 /// Default service port (rev-synth on a phone keypad, more or less).
 const DEFAULT_PORT: u16 = 7878;
 
@@ -1858,34 +1773,6 @@ mod tests {
             args.extend(extra.iter().map(|s| (*s).to_owned()));
             assert!(dispatch(&args).is_ok(), "{args:?}");
         }
-    }
-
-    #[test]
-    fn cost_and_depth_commands_end_to_end() {
-        let cost: Vec<String> = [
-            "cost",
-            "--spec",
-            "1,0,3,2,5,4,7,6,9,8,11,10,13,12,15,14",
-            "--n",
-            "4",
-            "--budget",
-            "3",
-        ]
-        .iter()
-        .map(|s| (*s).to_owned())
-        .collect();
-        assert!(dispatch(&cost).is_ok());
-        let depth: Vec<String> = [
-            "depth",
-            "--spec",
-            "1,0,3,2,5,4,7,6,9,8,11,10,13,12,15,14",
-            "--max-depth",
-            "1",
-        ]
-        .iter()
-        .map(|s| (*s).to_owned())
-        .collect();
-        assert!(dispatch(&depth).is_ok());
     }
 
     #[test]

@@ -1,389 +1,183 @@
-//! Cost-aware optimal synthesis (paper §5).
+//! The residue rule: the one stop rule the meet-in-the-middle scan runs
+//! under, for gate count and weighted cost alike (paper §5).
 //!
-//! The paper's search minimizes gate count, but notes that real gates have
-//! very different implementation costs ("generally, NOT is much simpler
-//! than CNOT, which in turn, is simpler than Toffoli") and sketches the
-//! modification: *"one needs to search for small circuits via increasing
-//! cost by one ... as opposed to adding a gate to all maximal size optimal
-//! circuits."*
-//!
-//! [`CostSynthesizer`] implements exactly that: a uniform-cost (Dijkstra
-//! with an integer bucket queue) search over equivalence classes. The ×48
-//! symmetry reduction carries over unchanged, because both wire relabeling
-//! (which preserves each gate's control count, hence its cost) and circuit
-//! reversal (same multiset of gates) preserve total cost.
-//!
-//! Unlike the gate-count synthesizer there is no meet-in-the-middle phase:
-//! the cost frontier is explored directly up to a caller-chosen budget,
-//! and circuits are reconstructed by peeling boundary gates — the same
-//! witness mechanics as [`Synthesizer`](crate::Synthesizer).
+//! The paper's search minimizes gate count and sketches the weighted
+//! variant as *"one needs to search for small circuits via increasing
+//! cost by one"*. [`SearchTables::generate_weighted`] builds the tables
+//! that way, in buckets of one cost each; the scan then needs only to
+//! know which residue buckets a split may still use. That set is read off
+//! the tables, so gate-count and cost-bucketed tables share one scan (see
+//! the [`search` module](crate::search) docs for why the floor is sound).
 
-use std::collections::{BTreeMap, HashMap};
-use std::fmt;
+use revsynth_bfs::SearchTables;
 
-use revsynth_canon::Symmetries;
-use revsynth_circuit::{Circuit, CostModel, Gate, GateLib};
-use revsynth_perm::Perm;
-
-use crate::error::SynthesisError;
-
-/// Per-class record: one boundary gate of a cost-minimal circuit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct CostRecord {
-    cost: u64,
-    gate: Option<(Gate, bool)>, // None = identity; bool = is_first
+/// Which residue buckets a split may still use, given its member bucket
+/// and the query's cost cap: bucket `rb` is allowed iff
+/// `cost[rb] ≥ floor` and `cost[rb] + cost[ib] ≤ cap`, with
+/// `floor = max(1, max_cost − max_gate_cost + 1)`.
+pub(crate) struct ResidueRule<'a> {
+    costs: &'a [u64],
+    floor: u64,
 }
 
-/// Cost-optimal synthesizer: finds circuits minimizing a weighted
-/// [`CostModel`] instead of plain gate count.
-///
-/// # Example
-///
-/// ```
-/// use revsynth_circuit::{CostModel, GateLib};
-/// use revsynth_core::CostSynthesizer;
-/// use revsynth_perm::Perm;
-///
-/// // Quantum-cost-optimal circuits of cost ≤ 12 on 3 wires.
-/// let synth = CostSynthesizer::generate(GateLib::nct(3), CostModel::quantum(), 12);
-/// let swap = Perm::from_values(&[0, 2, 1, 3, 4, 6, 5, 7])?; // SWAP(a,b)
-/// let c = synth.synthesize(swap).expect("3 CNOTs, cost 3");
-/// assert_eq!(c.cost(&CostModel::quantum()), 3);
-/// # Ok::<(), revsynth_perm::InvalidPermError>(())
-/// ```
-pub struct CostSynthesizer {
-    lib: GateLib,
-    sym: Symmetries,
-    model: CostModel,
-    max_cost: u64,
-    settled: HashMap<Perm, CostRecord>,
-    /// Classes by exact optimal cost (for census reporting).
-    by_cost: BTreeMap<u64, Vec<Perm>>,
-}
-
-impl CostSynthesizer {
-    /// Runs the increasing-cost search over `lib`, settling every
-    /// equivalence class of optimal cost ≤ `max_cost`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_cost` is unreasonably large (> 10_000) — a sign the
-    /// caller confused cost units.
-    #[must_use]
-    pub fn generate(lib: GateLib, model: CostModel, max_cost: u64) -> Self {
-        assert!(
-            max_cost <= 10_000,
-            "max_cost {max_cost} looks like a unit mix-up"
-        );
-        let sym = Symmetries::new(lib.wires());
-        let mut settled: HashMap<Perm, CostRecord> = HashMap::new();
-        let mut by_cost: BTreeMap<u64, Vec<Perm>> = BTreeMap::new();
-        // pending[c] = candidates discovered with tentative cost c.
-        let mut pending: BTreeMap<u64, Vec<(Perm, Gate, bool)>> = BTreeMap::new();
-
-        settled.insert(
-            Perm::identity(),
-            CostRecord {
-                cost: 0,
-                gate: None,
-            },
-        );
-        by_cost.insert(0, vec![Perm::identity()]);
-        expand(
-            &lib,
-            &sym,
-            &model,
-            Perm::identity(),
-            0,
-            max_cost,
-            &settled,
-            &mut pending,
-        );
-
-        while let Some((&cost, _)) = pending.iter().next() {
-            let batch = pending.remove(&cost).expect("key just observed");
-            let mut newly = Vec::new();
-            for (rep, gate, is_first) in batch {
-                if settled.contains_key(&rep) {
-                    continue; // settled at an equal or smaller cost earlier
-                }
-                settled.insert(
-                    rep,
-                    CostRecord {
-                        cost,
-                        gate: Some((gate, is_first)),
-                    },
-                );
-                newly.push(rep);
-            }
-            if newly.is_empty() {
-                continue;
-            }
-            for &rep in &newly {
-                expand(
-                    &lib,
-                    &sym,
-                    &model,
-                    rep,
-                    cost,
-                    max_cost,
-                    &settled,
-                    &mut pending,
-                );
-                let inv = rep.inverse();
-                if inv != rep {
-                    expand(
-                        &lib,
-                        &sym,
-                        &model,
-                        inv,
-                        cost,
-                        max_cost,
-                        &settled,
-                        &mut pending,
-                    );
-                }
-            }
-            newly.sort_unstable();
-            by_cost.insert(cost, newly);
-        }
-
-        CostSynthesizer {
-            lib,
-            sym,
-            model,
-            max_cost,
-            settled,
-            by_cost,
+impl<'a> ResidueRule<'a> {
+    /// Reads the rule off the tables.
+    pub(crate) fn new(tables: &'a SearchTables) -> Self {
+        ResidueRule {
+            costs: tables.bucket_costs(),
+            floor: (tables.max_cost() + 1)
+                .saturating_sub(tables.max_gate_cost())
+                .max(1),
         }
     }
 
-    /// The cost model this synthesizer optimizes.
-    #[must_use]
-    pub fn model(&self) -> &CostModel {
-        &self.model
+    /// The number of buckets.
+    pub(crate) fn buckets(&self) -> usize {
+        self.costs.len()
     }
 
-    /// The largest settled cost budget.
-    #[must_use]
-    pub const fn max_cost(&self) -> u64 {
-        self.max_cost
+    /// The cost of bucket `i`.
+    pub(crate) fn cost(&self, i: usize) -> u64 {
+        self.costs[i]
     }
 
-    /// The gate library.
-    #[must_use]
-    pub fn lib(&self) -> &GateLib {
-        &self.lib
-    }
-
-    /// Number of settled equivalence classes.
-    #[must_use]
-    pub fn num_classes(&self) -> usize {
-        self.settled.len()
-    }
-
-    /// The minimal circuit cost of `f`, if ≤ the generation budget.
-    #[must_use]
-    pub fn cost_of(&self, f: Perm) -> Option<u64> {
-        self.settled.get(&self.sym.canonical(f)).map(|r| r.cost)
-    }
-
-    /// A cost-minimal circuit for `f`, if its cost is within the budget.
-    #[must_use]
-    pub fn synthesize(&self, f: Perm) -> Option<Circuit> {
-        let n = self.lib.wires();
-        let mut front: Vec<Gate> = Vec::new();
-        let mut back: Vec<Gate> = Vec::new();
-        let mut cur = f;
-        loop {
-            if cur.is_identity() {
-                front.extend(back.iter().rev());
-                return Some(Circuit::from_gates(front));
-            }
-            let w = self.sym.canonicalize(cur);
-            let record = self.settled.get(&w.rep)?;
-            let (stored, is_first) = record.gate.expect("non-identity record has a gate");
-            let lam = self.sym.gate_from_rep(&w, stored);
-            let lam_perm = lam.perm(n);
-            // Same side selection as the gate-count peel (see core::synth).
-            if w.inverted == is_first {
-                back.push(lam);
-                cur = cur.then(lam_perm);
-            } else {
-                front.push(lam);
-                cur = lam_perm.then(cur);
+    /// The allowed residue buckets for member bucket `ib` under `cap`,
+    /// as a bitmask over bucket indices (empty once no residue fits).
+    pub(crate) fn mask(&self, ib: usize, cap: u64) -> u32 {
+        let member = self.costs[ib];
+        let mut mask = 0u32;
+        for (rb, &c) in self.costs.iter().enumerate() {
+            if c >= self.floor && c + member <= cap {
+                mask |= 1 << rb;
             }
         }
-    }
-
-    /// Like [`synthesize`](Self::synthesize) but with a typed error.
-    ///
-    /// # Errors
-    ///
-    /// [`SynthesisError::SizeExceedsLimit`] when the function's optimal
-    /// cost exceeds the generation budget (the limit reported is the cost
-    /// budget).
-    pub fn try_synthesize(&self, f: Perm) -> Result<Circuit, SynthesisError> {
-        self.synthesize(f).ok_or(SynthesisError::SizeExceedsLimit {
-            function: f,
-            limit: self.max_cost as usize,
-        })
-    }
-
-    /// Census rows: `(cost, classes, functions)` for every settled cost.
-    #[must_use]
-    pub fn counts(&self) -> Vec<(u64, u64, u64)> {
-        let mut buf = Vec::with_capacity(self.sym.max_class_size());
-        self.by_cost
-            .iter()
-            .map(|(&cost, reps)| {
-                let mut functions = 0u64;
-                for &rep in reps {
-                    self.sym.class_members_into(rep, &mut buf);
-                    functions += buf.len() as u64;
-                }
-                (cost, reps.len() as u64, functions)
-            })
-            .collect()
-    }
-}
-
-/// Pushes all expansions of `f` (settled at `cost`) into the pending
-/// buckets. Mirrors the BFS expansion of `revsynth_bfs::generate`, with a
-/// weighted edge per gate.
-#[allow(clippy::too_many_arguments)]
-fn expand(
-    lib: &GateLib,
-    sym: &Symmetries,
-    model: &CostModel,
-    f: Perm,
-    cost: u64,
-    max_cost: u64,
-    settled: &HashMap<Perm, CostRecord>,
-    pending: &mut BTreeMap<u64, Vec<(Perm, Gate, bool)>>,
-) {
-    for (_, gate, gate_perm) in lib.iter() {
-        let next_cost = cost + model.gate_cost(gate);
-        if next_cost > max_cost {
-            continue;
-        }
-        let h = f.then(gate_perm);
-        let w = sym.canonicalize(h);
-        if settled.contains_key(&w.rep) {
-            continue;
-        }
-        let stored = gate.conjugate_by_wires(w.sigma);
-        pending
-            .entry(next_cost)
-            .or_default()
-            .push((w.rep, stored, w.inverted));
-    }
-}
-
-impl fmt::Debug for CostSynthesizer {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "CostSynthesizer(n={}, max cost {}, {} classes, model {:?})",
-            self.lib.wires(),
-            self.max_cost,
-            self.settled.len(),
-            self.model
-        )
+        mask
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Synthesizer;
-    use std::collections::HashMap as Map;
+    use crate::{SynthesisError, Synthesizer};
+    use revsynth_bfs::reference;
+    use revsynth_circuit::{CostModel, GateLib};
+    use revsynth_perm::Perm;
+    use std::collections::{BTreeMap, HashMap, HashSet};
 
     /// Reference: whole-space Dijkstra without symmetry reduction.
-    fn reference_costs(lib: &GateLib, model: &CostModel, max_cost: u64) -> Map<Perm, u64> {
-        let mut dist: Map<Perm, u64> = Map::new();
+    fn reference_costs(lib: &GateLib, model: &CostModel, max_cost: u64) -> HashMap<Perm, u64> {
+        let mut dist: HashMap<Perm, u64> = HashMap::new();
         dist.insert(Perm::identity(), 0);
         let mut buckets: BTreeMap<u64, Vec<Perm>> = BTreeMap::new();
         buckets.insert(0, vec![Perm::identity()]);
-        let mut settled: std::collections::HashSet<Perm> = Default::default();
+        let mut settled: HashSet<Perm> = HashSet::new();
         while let Some((&c, _)) = buckets.iter().next() {
-            let batch = buckets.remove(&c).expect("present");
-            for f in batch {
+            for f in buckets.remove(&c).expect("key just observed") {
                 if !settled.insert(f) {
                     continue;
                 }
                 for (_, gate, gp) in lib.iter() {
                     let nc = c + model.gate_cost(gate);
-                    if nc > max_cost {
-                        continue;
-                    }
                     let h = f.then(gp);
-                    let better = dist.get(&h).is_none_or(|&old| nc < old);
-                    if better {
+                    if nc <= max_cost && dist.get(&h).is_none_or(|&old| nc < old) {
                         dist.insert(h, nc);
                         buckets.entry(nc).or_default().push(h);
                     }
                 }
             }
         }
-        dist.retain(|f, _| settled.contains(f));
         dist
+    }
+
+    fn weighted(n: usize, model: CostModel, budget: u64) -> Synthesizer {
+        Synthesizer::new(SearchTables::generate_weighted(
+            GateLib::nct(n),
+            model,
+            budget,
+        ))
+    }
+
+    #[test]
+    fn floor_and_masks_read_off_the_tables() {
+        // Gate-count tables: floor k, so the only residue is bucket k,
+        // allowed while k + i fits the cap.
+        let unit = SearchTables::generate(3, 3);
+        let rule = ResidueRule::new(&unit);
+        assert_eq!(rule.buckets(), 4);
+        assert_eq!(rule.mask(1, 6), 1 << 3);
+        assert_eq!(rule.mask(3, 6), 1 << 3);
+        assert_eq!(rule.mask(3, 5), 0, "the first hit closes the query");
+        // Quantum tables at budget 7 on 3 wires: TOF costs 5, so the
+        // floor is 7 − 5 + 1 = 3.
+        let quantum = SearchTables::generate_weighted(GateLib::nct(3), CostModel::quantum(), 7);
+        assert_eq!(quantum.bucket_costs(), &[0, 1, 2, 3, 4, 5, 6, 7]);
+        let rule = ResidueRule::new(&quantum);
+        assert_eq!(rule.mask(1, 9), 0b1111_1000);
+        assert_eq!(rule.mask(5, 9), 0b0001_1000);
+        assert_eq!(rule.mask(7, 9), 0, "no residue of cost ≥ 3 fits");
     }
 
     #[test]
     fn unit_cost_equals_gate_count_n3() {
-        let lib = GateLib::nct(3);
-        let cost_synth = CostSynthesizer::generate(lib, CostModel::unit(), 5);
+        // Unit-model weighted tables are the breadth-first levels, and
+        // the engine over them answers the oracle's sizes.
+        let synth = weighted(3, CostModel::unit(), 5);
         let count_synth = Synthesizer::from_scratch(3, 3);
-        // Every class settled at unit cost c must have gate-count size c.
-        for (cost, reps) in &cost_synth.by_cost {
-            for &rep in reps {
-                assert_eq!(count_synth.size(rep).ok(), Some(*cost as usize), "{rep}");
+        for cost in 0..=synth.tables().k() {
+            for &rep in synth.tables().level(cost) {
+                assert_eq!(count_synth.size(rep).ok(), Some(cost), "{rep}");
             }
+        }
+        let mut oracle: Vec<_> = reference::full_space_sizes(&GateLib::nct(3))
+            .into_iter()
+            .collect();
+        oracle.sort_unstable();
+        for &(f, size) in oracle.iter().step_by(97) {
+            assert_eq!(synth.size(f), Ok(size), "f = {f}");
         }
     }
 
     #[test]
     fn quantum_cost_matches_reference_n2_exhaustively() {
-        let lib = GateLib::nct(2);
         let model = CostModel::quantum();
-        let oracle = reference_costs(&lib, &model, 8);
-        let synth = CostSynthesizer::generate(GateLib::nct(2), model, 8);
+        let oracle = reference_costs(&GateLib::nct(2), &model, 8);
+        let synth = weighted(2, model, 8);
         for (&f, &cost) in &oracle {
-            assert_eq!(synth.cost_of(f), Some(cost), "f = {f}");
+            assert_eq!(synth.tables().cost_of(f), Some(cost), "f = {f}");
             let c = synth.synthesize(f).expect("within budget");
             assert_eq!(c.perm(2), f);
             assert_eq!(c.cost(&model), cost);
         }
         // And nothing beyond the oracle is claimed.
-        assert_eq!(
-            synth.counts().iter().map(|&(_, _, fns)| fns).sum::<u64>(),
-            oracle.len() as u64
-        );
+        let stored: u64 = synth.tables().counts().iter().map(|c| c.functions).sum();
+        assert_eq!(stored, oracle.len() as u64);
     }
 
     #[test]
     fn quantum_cost_matches_reference_n3_sampled() {
-        let lib = GateLib::nct(3);
+        // Budget 7 reaches cost 2·7 − 5 + 1 = 10, so oracle costs 8–10
+        // go through the meet-in-the-middle scan.
         let model = CostModel::quantum();
-        let budget = 10;
-        let oracle = reference_costs(&lib, &model, budget);
-        let synth = CostSynthesizer::generate(GateLib::nct(3), model, budget);
-        for (i, (&f, &cost)) in oracle.iter().enumerate() {
-            if i % 17 != 0 {
-                continue;
-            }
-            assert_eq!(synth.cost_of(f), Some(cost), "f = {f}");
-            let c = synth.synthesize(f).expect("within budget");
-            assert_eq!(c.perm(3), f);
-            assert_eq!(c.cost(&model), cost);
+        let mut oracle: Vec<_> = reference_costs(&GateLib::nct(3), &model, 10)
+            .into_iter()
+            .collect();
+        oracle.sort_unstable();
+        let synth = weighted(3, model, 7);
+        assert_eq!(synth.max_size(), 10);
+        let mut via_scan = 0;
+        for &(f, cost) in oracle.iter().step_by(17) {
+            let syn = synth.synthesize_within(f, 10).expect("within reach");
+            assert_eq!(syn.cost, cost, "f = {f}");
+            assert_eq!(syn.circuit.perm(3), f);
+            assert_eq!(syn.circuit.cost(&model), cost);
+            via_scan += usize::from(syn.lists_scanned > 0);
         }
+        assert!(via_scan > 0, "the sample must reach the scan");
     }
 
     #[test]
     fn swap_costs_three_cnots() {
-        let model = CostModel::quantum();
-        let synth = CostSynthesizer::generate(GateLib::nct(4), model, 6);
+        let synth = weighted(4, CostModel::quantum(), 6);
         let vals: Vec<u8> = (0..16usize)
             .map(|x| {
                 let (a, b) = (x & 1, (x >> 1) & 1);
@@ -391,7 +185,7 @@ mod tests {
             })
             .collect();
         let swap = Perm::from_values(&vals).unwrap();
-        assert_eq!(synth.cost_of(swap), Some(3));
+        assert_eq!(synth.tables().cost_of(swap), Some(3));
         let c = synth.synthesize(swap).unwrap();
         assert!(c.iter().all(|g| g.num_controls() == 1), "three CNOTs");
     }
@@ -403,12 +197,12 @@ mod tests {
         // and is strictly below for at least one function (a gate-count
         // optimum that uses a Toffoli where two CNOTs + NOTs would do).
         let model = CostModel::quantum();
-        let cost_synth = CostSynthesizer::generate(GateLib::nct(3), model, 9);
+        let cost_synth = weighted(3, model, 9);
         let gate_synth = Synthesizer::from_scratch(3, 4);
         let mut strictly_better = 0u32;
-        for reps in cost_synth.by_cost.values() {
-            for &rep in reps {
-                let cheap = cost_synth.synthesize(rep).expect("settled");
+        for bucket in 0..=cost_synth.tables().k() {
+            for &rep in cost_synth.tables().level(bucket) {
+                let cheap = cost_synth.synthesize(rep).expect("stored");
                 if let Ok(small) = gate_synth.synthesize(rep) {
                     assert!(cheap.cost(&model) <= small.cost(&model), "{rep}");
                     if cheap.cost(&model) < small.cost(&model) {
@@ -428,12 +222,15 @@ mod tests {
 
     #[test]
     fn out_of_budget_returns_none() {
-        let synth = CostSynthesizer::generate(GateLib::nct(3), CostModel::unit(), 2);
-        // hwb-like hard 3-wire function needs more than 2 gates.
+        // Unit tables to budget 2 store sizes ≤ 2 and reach 4; this
+        // hwb-like 3-wire function needs more.
+        let synth = weighted(3, CostModel::unit(), 2);
         let f = Perm::from_values(&[0, 2, 4, 6, 1, 3, 5, 7]).unwrap();
-        if synth.cost_of(f).is_none() {
-            assert!(synth.synthesize(f).is_none());
-            assert!(synth.try_synthesize(f).is_err());
-        }
+        assert!(Synthesizer::from_scratch(3, 4).size(f).unwrap() > 4);
+        assert_eq!(synth.tables().cost_of(f), None);
+        assert!(matches!(
+            synth.synthesize(f),
+            Err(SynthesisError::SizeExceedsLimit { limit: 4, .. })
+        ));
     }
 }

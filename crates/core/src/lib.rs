@@ -31,6 +31,11 @@
 //! identical circuits and sizes for every thread count, gate setting and
 //! wavefront depth.
 //!
+//! The same engine serves weighted costs (paper §5): over cost-bucketed
+//! tables ([`revsynth_bfs::SearchTables::generate_weighted`]) the scan
+//! runs under one residue rule that reduces to the exact-`k` residue on
+//! gate-count tables (see the [`search`] module docs).
+//!
 //! With k = 9 the paper synthesizes a random 4-bit permutation in ~0.01 s;
 //! with the laptop-scale defaults here (k = 6–7) the same code covers all
 //! sizes the paper ever observed (≤ 14 = 2·7) with larger list scans.
@@ -62,7 +67,6 @@ pub mod search;
 mod suite;
 mod synth;
 
-pub use cost::CostSynthesizer;
 pub use depth::DepthSynthesizer;
 pub use error::SynthesisError;
 pub use peephole::PeepholeOptimizer;

@@ -1,4 +1,5 @@
-//! The frame-hoisted, parallel, batched meet-in-the-middle search engine.
+//! The frame-hoisted, parallel, batched meet-in-the-middle search engine:
+//! one scan for every cost model.
 //!
 //! # The frame-hoisting identity
 //!
@@ -28,6 +29,51 @@
 //! per-candidate work reduced to one composition, one canonicalization and
 //! one hash probe.
 //!
+//! # One residue rule for every cost model
+//!
+//! The tables store every class of optimal cost ≤ `B` in buckets of one
+//! cost each, ascending ([`SearchTables::bucket_costs`]). On gate-count
+//! tables bucket `i` is the paper's size-`i` list, so `cost[i] = i` and
+//! `B = k`; on cost-bucketed tables ([`SearchTables::generate_weighted`],
+//! paper §5's "increasing cost by one") bucket `i` holds the classes of
+//! the `i`-th smallest weighted cost. A query beyond the fast path splits
+//! as `f = residue ∘ member⁻¹` with both halves stored, at total cost
+//! `cost[rb] + cost[ib]`; the candidate `conj_τ(f).then(rep)` (or its
+//! inverse-side twin) of the member's representative then canonicalizes
+//! into the residue's bucket `rb`.
+//!
+//! The scan walks member buckets `ib` in ascending cost and keeps a
+//! **cap** per query: the limit at first, `best total − 1` after each
+//! accepted hit. The residues that could still improve the answer are
+//!
+//! ```text
+//! mask(ib) = { rb : cost[rb] ≥ floor, cost[rb] + cost[ib] ≤ cap }
+//! floor    = max(1, B − max_gate_cost + 1)
+//! ```
+//!
+//! A probe hit is accepted only if its bucket is in the query's current
+//! mask; then the cap tightens and the mask is recomputed. A query whose
+//! mask is empty is closed, because later buckets only cost more. The
+//! one rule reads:
+//!
+//! * on gate-count tables `floor = k`, so `mask(i) = {k}` while
+//!   `k + i ≤ cap`, and the first hit empties it: the paper's scan, whose
+//!   first level with a hit is minimal;
+//! * on cost-bucketed tables, branch-and-bound: the answer is the first
+//!   candidate in scan order that achieves the minimal total.
+//!
+//! **The floor is sound and changes no answer.** Take an optimal circuit
+//! of cost `c > B` (cheaper functions take the fast path). Its longest
+//! prefix of cost ≤ `B` is a stored residue, and the next gate pushes
+//! past `B`, so that residue costs at least `B − max_gate_cost + 1` — the
+//! maximal-prefix argument behind [`SearchTables::cost_reach`]. Buckets
+//! run in ascending member cost, so the first split that reaches the
+//! optimum has the smallest member, hence the largest residue, which is
+//! at least the floor. The floor therefore never removes the answer; it
+//! only skips dead residues wherever it exceeds 1. Minimality follows
+//! from the same argument: a function of optimal cost ≤ `cost_reach`
+//! has a split into two stored halves, so its optimum is enumerated.
+//!
 //! # The invariant gate
 //!
 //! Even with hoisted frames, nearly all of the scan's time goes into
@@ -40,26 +86,22 @@
 //!   inversion likewise), so a candidate's combined invariant
 //!   ([`revsynth_table::InvariantIndex::key_of`]) equals its canonical
 //!   representative's — *without computing the representative*.
-//! * The tables index every stored invariant with the bitmask of optimal
-//!   sizes at which it occurs ([`revsynth_bfs::SearchTables::invariants`]).
-//! * A probe at level `i` can only succeed with residue distance
-//!   **exactly `k`**: the fast path already established `size(f) > k`,
-//!   and exhausting levels `< i` without a hit establishes
-//!   `size(f) ≥ k + i` (the standard meet-in-the-middle minimality
-//!   argument), so any composition in the table (distance ≤ k) at level
-//!   `i` satisfies `k ≥ distance ≥ size(f) − i ≥ k`. The engine
-//!   therefore asks the sharpest sound question — "does any stored
-//!   function of size exactly `k` share this invariant?" — and skips the
+//! * The tables index every stored invariant with the bitmask of buckets
+//!   in which it occurs ([`revsynth_bfs::SearchTables::invariants`]).
+//! * A candidate can only be accepted if its canonical form lies in an
+//!   allowed residue bucket, so the engine asks "does any stored function
+//!   in a bucket of the mask share this invariant?" and skips the
 //!   ~750-instruction canonicalization plus probe when the answer is no.
-//!   (This subsumes the conservative `min_distance[invariant] > budget`
-//!   test with `budget = k`, the residue budget of every scanned level.)
+//!   On gate-count tables the mask is `{k}`: the sharpest sound question.
 //!
-//! Because the gate only ever skips candidates whose probe must miss,
-//! results — circuits, sizes, and the hit chosen — are **bit-identical**
-//! with the gate on and off (verified exhaustively for every 3-wire
-//! function in `tests/engine_equivalence.rs`). The gate is on by default;
-//! [`SearchOptions::filter`] is the escape hatch, and [`SearchStats`]
-//! reports its selectivity (candidates gated / canonicalized / probed).
+//! Because the gate only ever skips candidates that could not be
+//! accepted, results — circuits, costs, and the hit chosen — are
+//! **bit-identical** with the gate on and off (verified exhaustively for
+//! every 3-wire function in `tests/engine_equivalence.rs`, and on a
+//! sample of the quantum-cost space in `tests/cost_oracle.rs`). The gate
+//! is on by default; [`SearchOptions::filter`] is the escape hatch, and
+//! [`SearchStats`] reports its selectivity (candidates gated /
+//! canonicalized / probed).
 //!
 //! On tables that exceed the cache, both stages of the gate are a cache
 //! miss — the prefilter word, then the index's home slot — and one
@@ -68,12 +110,15 @@
 //! ([`InvariantIndex::admits_batch`]) in three passes: weight keys with a
 //! prefetch of each prefilter word; the prefilter test, with the combined
 //! key and a prefetch of its index slot for each survivor; then each
-//! survivor's distance mask. The misses of a pass overlap each other and
-//! the arithmetic of the next candidates. The batch is then replayed in
-//! candidate order through count → gated? → canonicalize → probe, so the
-//! scan stops where a one-at-a-time loop would and [`SearchStats`] count
-//! the same work; verdicts computed past a hit are speculative and not
-//! counted.
+//! survivor's bucket mask against the allowed mask. The misses of a pass
+//! overlap each other and the arithmetic of the next candidates. The
+//! batch is then replayed in candidate order through count → gated? →
+//! canonicalize → probe. The batch is gated with the mask in force when
+//! it starts; a hit accepted during the replay can only shrink the mask,
+//! and the acceptance test re-checks every later hit against it. On
+//! gate-count tables the first hit closes the query, so the scan stops
+//! where a one-at-a-time loop would and [`SearchStats`] count the same
+//! work; verdicts computed past that hit are speculative and not counted.
 //!
 //! # The probe wavefront
 //!
@@ -88,40 +133,42 @@
 //! computation of subsequent candidates — dependent cache misses become
 //! memory-level parallelism, a serial win that needs no second hardware
 //! thread. The ring survives across representatives within a shard and
-//! drains at shard end; since eviction is strictly FIFO, the first
-//! successful resolve is the earliest candidate hit, so the chosen hit is
-//! identical for every ring depth.
+//! drains at shard end; since eviction is strictly FIFO, hits are
+//! accepted in candidate order, so the chosen hit is identical for every
+//! ring depth. A resolved hit's bucket is read from the level lists; a
+//! probe hit that is in no level list can only come from a damaged store
+//! and surfaces as [`SynthesisError::CorruptTables`].
 //!
-//! # Parallel level scanning and determinism
+//! # Parallel bucket scanning and determinism
 //!
-//! Each size-`i` list is split into contiguous sorted shards
+//! Each bucket is split into contiguous sorted shards
 //! ([`revsynth_bfs::SearchTables::level_chunks`]) scanned by scoped worker
-//! threads, mirroring the parallel BFS. The contract of the serial search
-//! is preserved exactly:
+//! threads, mirroring the parallel BFS. Every shard starts from the caps
+//! in force at the bucket's start. The contract of the serial search is
+//! preserved exactly:
 //!
-//! * lists are still exhausted in order `i = 1, 2, …`, so the first level
-//!   with a hit is minimal and the returned circuit size is optimal;
-//! * within a level, the accepted hit is the one at the smallest
-//!   representative (shards cover disjoint ascending ranges, so taking
-//!   the earliest shard's first hit is independent of the thread count);
-//! * any hit at the minimal `i` yields a valid minimal circuit — the same
-//!   contract the parallel BFS relies on.
+//! * buckets are still exhausted in ascending cost, and a later bucket's
+//!   hit is accepted only if it is strictly cheaper;
+//! * within a bucket, shards are merged in order under the same
+//!   acceptance rule: the lowest total wins, and the earliest shard wins
+//!   a tie. Shards cover disjoint ascending ranges, so this is the serial
+//!   first achiever, independent of the thread count.
 //!
 //! # Batched serving
 //!
 //! [`Synthesizer::synthesize_many`] / [`Synthesizer::size_many`] run a
-//! whole batch of queries through one pass over the level lists: frames
-//! are hoisted per query, and every representative loaded from a level is
-//! tested against **all** still-open queries while it is hot in cache —
-//! the access pattern a traffic-serving deployment needs (the level lists,
-//! not the queries, are the multi-GB working set).
+//! whole batch of queries through one pass over the bucket lists: frames
+//! are hoisted per query, and every representative loaded from a bucket
+//! is tested against **all** still-open queries while it is hot in cache
+//! — the access pattern a traffic-serving deployment needs (the level
+//! lists, not the queries, are the multi-GB working set).
 
 use revsynth_bfs::SearchTables;
-use revsynth_canon::Symmetries;
 use revsynth_circuit::CostKind;
 use revsynth_perm::Perm;
 use revsynth_table::{InvariantIndex, ProbeRing};
 
+use crate::cost::ResidueRule;
 use crate::error::SynthesisError;
 use crate::synth::{Synthesis, Synthesizer};
 
@@ -161,26 +208,27 @@ pub struct SearchOptions {
 }
 
 impl SearchOptions {
-    /// Default options: single-threaded, search up to the tables' full
-    /// `2k` reach, invariant gate on, wavefront depth 8.
+    /// Default options: all available threads, search up to the tables'
+    /// full reach ([`Synthesizer::max_size`]), invariant gate on,
+    /// wavefront depth 8.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Number of worker threads for the level scans; `0` (the default)
+    /// Number of worker threads for the bucket scans; `0` (the default)
     /// selects the machine's available parallelism
-    /// ([`effective_threads`](Self::effective_threads)). Applies to the
-    /// gate-count engine; the cost-bounded scan on cost-bucketed tables
-    /// is serial regardless (its branch-and-bound cap is sequential).
+    /// ([`effective_threads`](Self::effective_threads)). Every bucket is
+    /// sharded across them, on gate-count and cost-bucketed tables alike;
+    /// answers are identical for every thread count.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
     }
 
-    /// Bounds the search to circuits of at most `limit` gates (like
-    /// [`Synthesizer::synthesize_within`]).
+    /// Bounds the search to circuits of cost at most `limit` — gates on
+    /// gate-count tables (like [`Synthesizer::synthesize_within`]).
     #[must_use]
     pub fn limit(mut self, limit: usize) -> Self {
         self.limit = Some(limit);
@@ -319,34 +367,25 @@ pub(crate) struct PreparedQuery {
     inv: Vec<(Perm, u32)>,
 }
 
-/// A meet-in-the-middle hit: `(level, rep, side, step)` identifies the
-/// class member that splits the query.
+/// A meet-in-the-middle hit: the query splits as `f = residue ∘ member⁻¹`
+/// with the member's class in bucket `bucket` (identified by `(rep, side,
+/// step)`), the residue in bucket `residue_bucket`, and total cost
+/// `total`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Hit {
-    pub level: usize,
-    pub rep: Perm,
-    side: Side,
-    step: u32,
-}
-
-/// A cost-bounded meet-in-the-middle hit on cost-bucketed tables: the
-/// query splits as `f = residue ∘ member⁻¹` with the residue in bucket
-/// `residue_bucket`, the member's class in bucket `bucket`, and total
-/// cost `total` (provably minimal when the scan completes).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CostHit {
-    pub residue_bucket: usize,
     pub bucket: usize,
+    pub residue_bucket: usize,
     pub total: u64,
     pub rep: Perm,
     side: Side,
     step: u32,
 }
 
-/// Result of scanning levels `1..=deepest` for a batch of queries.
+/// Result of scanning the buckets for a batch of queries.
 pub(crate) struct ScanOutcome {
-    /// Per query: the minimal-level hit, if any.
-    pub hits: Vec<Option<Hit>>,
+    /// Per query: the minimal-cost hit within the limit, if any, or the
+    /// detail of the damage a probe ran into.
+    pub hits: Vec<Result<Option<Hit>, &'static str>>,
     /// Per query: candidate-pipeline accounting.
     pub stats: Vec<SearchStats>,
 }
@@ -370,246 +409,95 @@ impl Synthesizer {
         PreparedQuery { fwd, inv }
     }
 
-    /// Scans the size-`i` lists in increasing `i` for every query at once,
-    /// sharding each level across the configured scoped workers. Hits are
-    /// identical for every thread count, gate setting and wavefront depth
-    /// (see the module docs); the stats reflect the work actually
-    /// performed, which grows with the shard count on hit levels.
+    /// Scans the buckets in ascending cost for every query at once,
+    /// sharding each bucket across the configured scoped workers, and
+    /// returns per query the minimal-total hit of cost ≤ `limit`. Hits
+    /// are identical for every thread count, gate setting and wavefront
+    /// depth (see the module docs); the stats reflect the work actually
+    /// performed, which grows with the shard count.
     pub(crate) fn mitm_scan(
         &self,
         queries: &[PreparedQuery],
-        deepest: usize,
+        limit: u64,
         opts: &SearchOptions,
     ) -> ScanOutcome {
         let tables = self.tables();
+        let rule = ResidueRule::new(tables);
         let threads = opts.effective_threads();
         let gate = opts.filter_enabled().then(|| tables.invariants());
         let probe_depth = opts.effective_probe_depth();
-        let mut hits: Vec<Option<Hit>> = vec![None; queries.len()];
+        let mut hits: Vec<Result<Option<Hit>, &'static str>> = vec![Ok(None); queries.len()];
         let mut stats: Vec<SearchStats> = vec![SearchStats::default(); queries.len()];
-        let mut open: Vec<usize> = (0..queries.len()).collect();
+        let mut caps: Vec<u64> = vec![limit; queries.len()];
 
-        for i in 1..=deepest {
+        for ib in 1..rule.buckets() {
+            // Masks only shrink from bucket to bucket, so a query closed
+            // here stays closed.
+            let open: Vec<OpenQuery> = (0..queries.len())
+                .filter(|&q| hits[q].is_ok())
+                .map(|q| OpenQuery {
+                    query: q,
+                    mask: rule.mask(ib, caps[q]),
+                })
+                .filter(|open| open.mask != 0)
+                .collect();
             if open.is_empty() {
                 break;
             }
-            let level = tables.level(i);
+            let level = tables.level(ib);
             if level.is_empty() {
-                // The BFS exhausted the group: all deeper lists are empty.
-                break;
+                continue;
             }
+            let scan =
+                |shard| scan_shard(tables, &rule, ib, shard, queries, &open, gate, probe_depth);
             let workers = threads.clamp(1, level.len());
-            let shard_results: Vec<ShardResult> = if workers == 1 {
-                vec![scan_shard(tables, level, queries, &open, gate, probe_depth)]
+            let shard_results: Vec<Vec<ShardQuery>> = if workers == 1 {
+                vec![scan(level)]
             } else {
                 std::thread::scope(|scope| {
-                    let open = &open;
                     let handles: Vec<_> = tables
-                        .level_chunks(i, workers)
-                        .map(|shard| {
-                            scope.spawn(move || {
-                                scan_shard(tables, shard, queries, open, gate, probe_depth)
-                            })
-                        })
+                        .level_chunks(ib, workers)
+                        .map(|shard| scope.spawn(move || scan(shard)))
                         .collect();
                     handles
                         .into_iter()
-                        .map(|h| h.join().expect("level-scan worker must not panic"))
+                        .map(|h| h.join().expect("bucket-scan worker must not panic"))
                         .collect()
                 })
             };
-            // Merge in shard order: shards cover ascending disjoint rep
-            // ranges, so the first hit per query is the minimal-rep hit.
+            // Merge in shard order under the scan's own acceptance rule:
+            // shards cover ascending disjoint rep ranges, so a strictly
+            // cheaper hit wins and the earliest shard wins a tie.
             for shard in shard_results {
-                for (slot, &q) in open.iter().enumerate() {
-                    stats[q].merge(&shard.stats[slot]);
-                    if hits[q].is_none() {
-                        if let Some((rep, side, step)) = shard.hits[slot] {
-                            hits[q] = Some(Hit {
-                                level: i,
-                                rep,
-                                side,
-                                step,
-                            });
+                for (slot, open) in open.iter().enumerate() {
+                    let q = open.query;
+                    let result = &shard[slot];
+                    stats[q].merge(&result.stats);
+                    if let Some(detail) = result.corrupt {
+                        hits[q] = Err(detail);
+                    }
+                    if let (Some(hit), Ok(best)) = (result.best, &mut hits[q]) {
+                        if hit.total <= caps[q] {
+                            *best = Some(hit);
+                            caps[q] = hit.total - 1;
                         }
                     }
                 }
             }
-            open.retain(|&q| hits[q].is_none());
         }
 
         ScanOutcome { hits, stats }
     }
 
     /// Reconstructs the class member a hit identifies and assembles the
-    /// minimal circuit `f = (f.then(m)) .then m⁻¹`, certified: both halves
-    /// must be stored with the sizes the scan proved (residue `k`, member
-    /// the hit's level) and the circuit must compute `f`.
+    /// minimal circuit `f = (f.then(m)) .then m⁻¹`, certified: the front
+    /// half must cost exactly its residue bucket, the whole circuit
+    /// exactly the hit's total (on gate-count tables: residue `k` gates,
+    /// member the hit's level), and it must compute `f`.
     pub(crate) fn resolve_hit(
         &self,
         f: Perm,
         hit: &Hit,
-        stats: SearchStats,
-    ) -> Result<Synthesis, SynthesisError> {
-        let corrupt = |detail| SynthesisError::CorruptTables {
-            function: f,
-            detail,
-        };
-        let (residue, member) = self.split(f, hit.rep, hit.side, hit.step);
-        let front = self
-            .peel(residue)
-            .map_err(corrupt)?
-            .ok_or_else(|| corrupt("the residue of a hit is not stored"))?;
-        let back = self
-            .peel(member.inverse())
-            .map_err(corrupt)?
-            .ok_or_else(|| corrupt("a stored representative is not stored"))?;
-        if front.len() != self.tables().k() || back.len() != hit.level {
-            return Err(corrupt("the halves of a hit do not have the proved sizes"));
-        }
-        let circuit = front.then(&back);
-        if circuit.perm(self.wires()) != f {
-            return Err(corrupt("the assembled circuit does not compute the query"));
-        }
-        Ok(Synthesis {
-            cost: circuit.len() as u64,
-            circuit,
-            lists_scanned: hit.level,
-            candidates_tested: stats.canonicalized,
-            stats,
-        })
-    }
-
-    /// The split a hit identifies: `(f.then(member), member)` for the
-    /// class member `conj_{τ⁻¹}(rep)` or `conj_{τ⁻¹}(rep⁻¹)`.
-    fn split(&self, f: Perm, rep: Perm, side: Side, step: u32) -> (Perm, Perm) {
-        let tau_inv = self.tables().sym().relabelings()[step as usize].inverse();
-        let member = match side {
-            Side::Fwd => rep.conjugate_by_wires(tau_inv),
-            Side::Inv => rep.inverse().conjugate_by_wires(tau_inv),
-        };
-        (f.then(member), member)
-    }
-
-    /// The **cost-bounded** meet-in-the-middle scan, for cost-bucketed
-    /// tables ([`SearchTables::is_cost_bucketed`]): enumerates
-    /// half-circuit pairs in nondecreasing combined cost and returns,
-    /// per query, the minimal-total-cost hit within `cost_limit`.
-    ///
-    /// # The generalized residue argument
-    ///
-    /// Any decomposition `f = residue ∘ member⁻¹` with both halves
-    /// stored has total cost `cost(residue) + cost(member)` (inversion
-    /// preserves cost), realized as the candidate composition
-    /// `conj_τ(f).then(rep)` (or the inverse-side twin) landing in the
-    /// residue's **exact cost bucket**. The scan therefore walks member
-    /// buckets `ib` in ascending cost and, per candidate, asks the
-    /// residual-bucket question the gate-count engine asks for the
-    /// single distance `k`: *which residue buckets could still improve
-    /// the best total?* That set — `allowed = {rb ≥ 1 : cost[rb] +
-    /// cost[ib] ≤ cap}` with `cap = min(limit, best_total − 1)` — is a
-    /// bitmask over bucket indices, and the invariant gate
-    /// ([`InvariantIndex::admits_any`]) rejects candidates sharing no
-    /// class invariant with any allowed bucket **before**
-    /// canonicalization, exactly as the exact-`k` gate does. A gated
-    /// candidate provably cannot improve the best decomposition, so
-    /// results are identical with the gate on and off (verified
-    /// exhaustively for 3-wire quantum cost in `tests/cost_oracle.rs`).
-    ///
-    /// Survivors are canonicalized once and their exact bucket is read
-    /// from the sorted bucket lists — the probe is an exact-cost
-    /// membership test, so an accepted hit's total is exact, never an
-    /// upper bound. Acceptance requires `total ≤ cap < best_total`, so
-    /// the final hit is the **first candidate in scan order achieving
-    /// the minimal total** — deterministic, independent of the gate
-    /// setting. Buckets stop as soon as `cost[ib] + cost[1]` exceeds
-    /// the cap (later buckets only cost more).
-    ///
-    /// Minimality: a cost-`c` circuit for `f` with `c ≤`
-    /// [`SearchTables::cost_reach`] splits (maximal prefix argument in
-    /// `cost_reach`'s docs) into two stored halves, so its pair is
-    /// enumerated; the scan's minimum over all pairs is therefore the
-    /// true optimum whenever `f` is within reach.
-    pub(crate) fn mitm_scan_cost(
-        &self,
-        queries: &[PreparedQuery],
-        cost_limit: u64,
-        opts: &SearchOptions,
-    ) -> Vec<(Option<CostHit>, SearchStats)> {
-        let tables = self.tables();
-        let sym = tables.sym();
-        let costs = tables.bucket_costs();
-        let gate = opts.filter_enabled().then(|| tables.invariants());
-        queries
-            .iter()
-            .map(|query| {
-                let mut best: Option<CostHit> = None;
-                let mut stats = SearchStats::default();
-                for ib in 1..costs.len() {
-                    let cap = best.as_ref().map_or(cost_limit, |b| b.total - 1);
-                    if costs[ib] + costs.get(1).copied().unwrap_or(1) > cap {
-                        break; // later buckets only cost more
-                    }
-                    let mut mask = residue_mask(costs, costs[ib], cap);
-                    if mask == 0 {
-                        continue;
-                    }
-                    for &rep in tables.level(ib) {
-                        let rep_self_inverse = rep.inverse() == rep;
-                        for &(frame, step) in &query.fwd {
-                            consider_cost_candidate(
-                                tables,
-                                sym,
-                                gate,
-                                costs,
-                                ib,
-                                &mut mask,
-                                cost_limit,
-                                &mut best,
-                                &mut stats,
-                                frame.then(rep),
-                                rep,
-                                Side::Fwd,
-                                step,
-                            );
-                        }
-                        if !rep_self_inverse {
-                            for &(frame, step) in &query.inv {
-                                consider_cost_candidate(
-                                    tables,
-                                    sym,
-                                    gate,
-                                    costs,
-                                    ib,
-                                    &mut mask,
-                                    cost_limit,
-                                    &mut best,
-                                    &mut stats,
-                                    rep.then(frame),
-                                    rep,
-                                    Side::Inv,
-                                    step,
-                                );
-                            }
-                        }
-                        if mask == 0 {
-                            break; // cap shrank below this bucket's reach
-                        }
-                    }
-                }
-                (best, stats)
-            })
-            .collect()
-    }
-
-    /// Reconstructs the minimal-cost circuit a [`CostHit`] identifies,
-    /// certified like [`resolve_hit`](Self::resolve_hit): the front half
-    /// must cost exactly its residue bucket, the whole circuit exactly the
-    /// hit's total, and it must compute `f`.
-    pub(crate) fn resolve_cost_hit(
-        &self,
-        f: Perm,
-        hit: &CostHit,
         stats: SearchStats,
     ) -> Result<Synthesis, SynthesisError> {
         let corrupt = |detail| SynthesisError::CorruptTables {
@@ -644,100 +532,116 @@ impl Synthesizer {
         })
     }
 
+    /// The split a hit identifies: `(f.then(member), member)` for the
+    /// class member `conj_{τ⁻¹}(rep)` or `conj_{τ⁻¹}(rep⁻¹)`.
+    fn split(&self, f: Perm, rep: Perm, side: Side, step: u32) -> (Perm, Perm) {
+        let tau_inv = self.tables().sym().relabelings()[step as usize].inverse();
+        let member = match side {
+            Side::Fwd => rep.conjugate_by_wires(tau_inv),
+            Side::Inv => rep.inverse().conjugate_by_wires(tau_inv),
+        };
+        (f.then(member), member)
+    }
+
+    /// The one path every entry point takes: per query, the domain check,
+    /// then the fast path `stored` (which returns the stored function's
+    /// cost and answer, or `None` past the tables), then the scan, whose
+    /// hits `found` turns into answers. Costs above the limit are
+    /// [`SynthesisError::SizeExceedsLimit`].
+    fn search_batch<T>(
+        &self,
+        fs: &[Perm],
+        opts: &SearchOptions,
+        stored: impl Fn(Perm) -> Result<Option<(u64, T)>, SynthesisError>,
+        found: impl Fn(Perm, &Hit, SearchStats) -> Result<T, SynthesisError>,
+    ) -> (Vec<Result<T, SynthesisError>>, SearchStats) {
+        let limit = opts.limit_or(self.max_size());
+        let beyond = |function| SynthesisError::SizeExceedsLimit { function, limit };
+        let mut results: Vec<Option<Result<T, SynthesisError>>> =
+            (0..fs.len()).map(|_| None).collect();
+        let mut open_idx: Vec<usize> = Vec::new();
+        let mut queries: Vec<PreparedQuery> = Vec::new();
+        for (j, &f) in fs.iter().enumerate() {
+            let answer = self.check_domain(f).and_then(|()| stored(f));
+            results[j] = match answer {
+                Ok(None) => {
+                    open_idx.push(j);
+                    queries.push(self.prepare_query(f));
+                    continue;
+                }
+                Ok(Some((cost, _))) if cost > limit as u64 => Some(Err(beyond(f))),
+                Ok(Some((_, value))) => Some(Ok(value)),
+                Err(e) => Some(Err(e)),
+            };
+        }
+
+        let outcome = self.mitm_scan(&queries, limit as u64, opts);
+        let mut total = SearchStats::default();
+        for (slot, &j) in open_idx.iter().enumerate() {
+            let f = fs[j];
+            let stats = outcome.stats[slot];
+            total.merge(&stats);
+            results[j] = Some(match outcome.hits[slot] {
+                Ok(Some(ref hit)) => found(f, hit, stats),
+                Ok(None) => Err(beyond(f)),
+                Err(detail) => Err(SynthesisError::CorruptTables {
+                    function: f,
+                    detail,
+                }),
+            });
+        }
+        let results = results
+            .into_iter()
+            .map(|r| r.expect("every query resolved"))
+            .collect();
+        (results, total)
+    }
+
     /// Synthesizes a whole batch of functions through one frame-hoisted,
-    /// optionally multi-threaded pass over the level lists.
+    /// optionally multi-threaded pass over the bucket lists.
     ///
     /// Results are per query and independent: a query that fails (domain
-    /// mismatch, size beyond the limit) does not affect the others. For
+    /// mismatch, cost beyond the limit) does not affect the others. For
     /// every query the returned **circuit and its statistics of record**
-    /// ([`Synthesis::circuit`], [`Synthesis::lists_scanned`]) are
-    /// gate-count minimal and identical to what
+    /// ([`Synthesis::circuit`], [`Synthesis::cost`],
+    /// [`Synthesis::lists_scanned`]) are cost-minimal under the tables'
+    /// model and identical to what
     /// [`synthesize_within`](Synthesizer::synthesize_within) returns, for
     /// every thread count. [`Synthesis::candidates_tested`] reports the
     /// work *actually performed*, which grows with sharding: parallel
     /// shards that have not seen the hit keep scanning their own ranges,
     /// so the count is deterministic only for a fixed thread count.
     ///
-    /// Frame setup is amortized per query and level scans are amortized
-    /// across the whole batch: every representative loaded from a size-`i`
-    /// list is tested against all still-open queries while hot in cache.
+    /// Frame setup is amortized per query and bucket scans are amortized
+    /// across the whole batch: every representative loaded from a bucket
+    /// is tested against all still-open queries while hot in cache.
     pub fn synthesize_many(
         &self,
         fs: &[Perm],
         opts: &SearchOptions,
     ) -> Vec<Result<Synthesis, SynthesisError>> {
-        let limit = opts.limit_or(self.max_size());
-        let k = self.tables().k();
-
-        let mut results: Vec<Option<Result<Synthesis, SynthesisError>>> =
-            (0..fs.len()).map(|_| None).collect();
-        let mut open_idx: Vec<usize> = Vec::new();
-        let mut queries: Vec<PreparedQuery> = Vec::new();
-        for (j, &f) in fs.iter().enumerate() {
-            if let Err(e) = self.check_domain(f) {
-                results[j] = Some(Err(e));
-                continue;
-            }
-            let peeled = match self.peel(f) {
-                Ok(peeled) => peeled,
-                Err(detail) => {
-                    results[j] = Some(Err(SynthesisError::CorruptTables {
-                        function: f,
-                        detail,
-                    }));
-                    continue;
-                }
-            };
-            if let Some(circuit) = peeled {
-                // On unit tables the model cost is the gate count, so
-                // this is the historical `len > limit` check verbatim.
-                let cost = circuit.cost(self.tables().model());
-                results[j] = Some(if cost > limit as u64 {
-                    Err(SynthesisError::SizeExceedsLimit { function: f, limit })
-                } else {
-                    Ok(Synthesis {
-                        cost,
-                        circuit,
-                        lists_scanned: 0,
-                        candidates_tested: 0,
-                        stats: SearchStats::default(),
-                    })
-                });
-                continue;
-            }
-            open_idx.push(j);
-            queries.push(self.prepare_query(f));
-        }
-
-        if self.tables().is_cost_bucketed() {
-            let outcome = self.mitm_scan_cost(&queries, limit as u64, opts);
-            for (slot, &j) in open_idx.iter().enumerate() {
-                let (ref hit, stats) = outcome[slot];
-                results[j] = Some(match hit {
-                    Some(hit) => self.resolve_cost_hit(fs[j], hit, stats),
-                    None => Err(SynthesisError::SizeExceedsLimit {
-                        function: fs[j],
-                        limit,
-                    }),
-                });
-            }
-        } else {
-            let deepest = k.min(limit.saturating_sub(k));
-            let outcome = self.mitm_scan(&queries, deepest, opts);
-            for (slot, &j) in open_idx.iter().enumerate() {
-                results[j] = Some(match outcome.hits[slot] {
-                    Some(ref hit) => self.resolve_hit(fs[j], hit, outcome.stats[slot]),
-                    None => Err(SynthesisError::SizeExceedsLimit {
-                        function: fs[j],
-                        limit,
-                    }),
-                });
-            }
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every query resolved"))
-            .collect()
+        let model = self.tables().model();
+        let stored = |f| {
+            let peeled = self
+                .peel(f)
+                .map_err(|detail| SynthesisError::CorruptTables {
+                    function: f,
+                    detail,
+                })?;
+            Ok(peeled.map(|circuit| {
+                let cost = circuit.cost(model);
+                let synthesis = Synthesis {
+                    cost,
+                    circuit,
+                    lists_scanned: 0,
+                    candidates_tested: 0,
+                    stats: SearchStats::default(),
+                };
+                (cost, synthesis)
+            }))
+        };
+        let found = |f, hit: &Hit, stats| self.resolve_hit(f, hit, stats);
+        self.search_batch(fs, opts, stored, found).0
     }
 
     /// Single-query synthesis with explicit search options — the threaded
@@ -760,7 +664,7 @@ impl Synthesizer {
             .expect("one query yields one result")
     }
 
-    /// Single-query size with explicit search options (threaded level
+    /// Single-query size with explicit search options (threaded bucket
     /// scans).
     ///
     /// # Errors
@@ -772,9 +676,10 @@ impl Synthesizer {
             .expect("one query yields one result")
     }
 
-    /// The optimal sizes of a whole batch of functions (cheaper than
+    /// The optimal costs (gate counts on gate-count tables) of a whole
+    /// batch of functions — cheaper than
     /// [`synthesize_many`](Self::synthesize_many): circuits are never
-    /// reconstructed). Same batching, threading and determinism contract.
+    /// reconstructed. Same batching, threading and determinism contract.
     pub fn size_many(
         &self,
         fs: &[Perm],
@@ -792,141 +697,17 @@ impl Synthesizer {
         fs: &[Perm],
         opts: &SearchOptions,
     ) -> (Vec<Result<usize, SynthesisError>>, SearchStats) {
-        let limit = opts.limit_or(self.max_size());
-        let k = self.tables().k();
-        let bucketed = self.tables().is_cost_bucketed();
-
-        let mut results: Vec<Option<Result<usize, SynthesisError>>> =
-            (0..fs.len()).map(|_| None).collect();
-        let mut open_idx: Vec<usize> = Vec::new();
-        let mut queries: Vec<PreparedQuery> = Vec::new();
-        for (j, &f) in fs.iter().enumerate() {
-            if let Err(e) = self.check_domain(f) {
-                results[j] = Some(Err(e));
-                continue;
-            }
-            // On cost-bucketed tables "size" means the model cost.
-            let stored = if bucketed {
-                self.tables().cost_of(f).map(|c| c as usize)
-            } else {
-                self.tables().size_of(f)
-            };
-            if let Some(size) = stored {
-                results[j] = Some(if size > limit {
-                    Err(SynthesisError::SizeExceedsLimit { function: f, limit })
-                } else {
-                    Ok(size)
-                });
-                continue;
-            }
-            open_idx.push(j);
-            queries.push(self.prepare_query(f));
-        }
-
-        let mut total = SearchStats::default();
-        if bucketed {
-            let outcome = self.mitm_scan_cost(&queries, limit as u64, opts);
-            for (slot, &j) in open_idx.iter().enumerate() {
-                let (ref hit, stats) = outcome[slot];
-                total.merge(&stats);
-                results[j] = Some(match hit {
-                    Some(hit) => Ok(hit.total as usize),
-                    None => Err(SynthesisError::SizeExceedsLimit {
-                        function: fs[j],
-                        limit,
-                    }),
-                });
-            }
-        } else {
-            let deepest = k.min(limit.saturating_sub(k));
-            let outcome = self.mitm_scan(&queries, deepest, opts);
-            for s in &outcome.stats {
-                total.merge(s);
-            }
-            for (slot, &j) in open_idx.iter().enumerate() {
-                results[j] = Some(match outcome.hits[slot] {
-                    Some(ref hit) => Ok(k + hit.level),
-                    None => Err(SynthesisError::SizeExceedsLimit {
-                        function: fs[j],
-                        limit,
-                    }),
-                });
-            }
-        }
-        let results = results
-            .into_iter()
-            .map(|r| r.expect("every query resolved"))
-            .collect();
-        (results, total)
+        let stored = |f| Ok(self.tables().cost_of(f).map(|c| (c, c as usize)));
+        let found = |_, hit: &Hit, _| Ok(hit.total as usize);
+        self.search_batch(fs, opts, stored, found)
     }
 }
 
-/// The residue buckets that could still improve the best decomposition:
-/// bit `rb` set ⇔ `rb ≥ 1` and `costs[rb] + c_ib ≤ cap`.
-fn residue_mask(costs: &[u64], c_ib: u64, cap: u64) -> u32 {
-    let mut mask = 0u32;
-    for (rb, &c) in costs.iter().enumerate().skip(1) {
-        if c + c_ib <= cap {
-            mask |= 1 << rb;
-        }
-    }
-    mask
-}
-
-/// Runs one cost-scan candidate through the residual-bucket gate →
-/// canonicalize → exact-bucket probe pipeline, tightening `best`, the
-/// cap and the allowed mask on acceptance.
-#[allow(clippy::too_many_arguments)] // hot inner kernel, deliberately flat
-#[inline]
-fn consider_cost_candidate(
-    tables: &SearchTables,
-    sym: &Symmetries,
-    gate: Option<&InvariantIndex>,
-    costs: &[u64],
-    ib: usize,
-    mask: &mut u32,
-    cost_limit: u64,
-    best: &mut Option<CostHit>,
-    stats: &mut SearchStats,
-    composition: Perm,
-    rep: Perm,
-    side: Side,
-    step: u32,
-) {
-    stats.considered += 1;
-    if let Some(index) = gate {
-        // No allowed residue bucket shares this candidate's class
-        // invariants ⇒ it cannot improve the best total; skip the
-        // canonicalization (sound for the same reason as the exact-k
-        // gate — the probe below is an exact-bucket membership test).
-        if !index.admits_any(composition, *mask) {
-            stats.gated += 1;
-            return;
-        }
-    }
-    let canon = sym.canonical(composition);
-    stats.canonicalized += 1;
-    stats.probed += 1;
-    if let Some(rb) = tables.bucket_of(canon) {
-        if *mask >> rb & 1 == 1 {
-            let total = costs[rb] + costs[ib];
-            *best = Some(CostHit {
-                residue_bucket: rb,
-                bucket: ib,
-                total,
-                rep,
-                side,
-                step,
-            });
-            *mask = residue_mask(costs, costs[ib], cost_limit.min(total - 1));
-        }
-    }
-}
-
-/// Per-shard scan output, indexed like the `open` slice.
-struct ShardResult {
-    hits: Vec<Option<(Perm, Side, u32)>>,
-    stats: Vec<SearchStats>,
+/// A query open at the start of a bucket, with the residue mask every
+/// shard starts it from.
+struct OpenQuery {
+    query: usize,
+    mask: u32,
 }
 
 /// One candidate's identity while its table probe is in flight.
@@ -934,86 +715,139 @@ struct InFlight {
     rep: Perm,
     side: Side,
     step: u32,
+    canon: Perm,
 }
 
-/// Scans one contiguous shard of a level against every open query, with
-/// the invariant gate in front of canonicalization and a per-query probe
-/// wavefront behind it.
+/// One open query's state within a shard.
+struct ShardQuery {
+    /// The allowed residue buckets; 0 once the query is closed.
+    mask: u32,
+    /// The last accepted hit: the shard's first achiever of its minimal
+    /// total.
+    best: Option<Hit>,
+    /// Set when a probe hit lies in no level list.
+    corrupt: Option<&'static str>,
+    ring: ProbeRing<InFlight>,
+    stats: SearchStats,
+}
+
+impl ShardQuery {
+    /// Applies the acceptance rule to a resolved probe hit of a
+    /// bucket-`ib` candidate: the hit is kept only if its residue bucket
+    /// is still allowed, and then tightens the mask to the cap
+    /// `total − 1`.
+    fn accept(&mut self, tables: &SearchTables, rule: &ResidueRule, ib: usize, tag: &InFlight) {
+        let Some(rb) = tables.bucket_of(tag.canon) else {
+            self.corrupt = Some("a probed candidate is stored in no level list");
+            self.mask = 0;
+            return;
+        };
+        if self.mask >> rb & 1 == 1 {
+            let total = rule.cost(rb) + rule.cost(ib);
+            self.best = Some(Hit {
+                bucket: ib,
+                residue_bucket: rb,
+                total,
+                rep: tag.rep,
+                side: tag.side,
+                step: tag.step,
+            });
+            self.mask = rule.mask(ib, total - 1);
+        }
+    }
+}
+
+/// Scans one contiguous shard of bucket `ib` against every open query,
+/// with the invariant gate in front of canonicalization and a per-query
+/// probe wavefront behind it.
 ///
 /// Candidate order — representatives outermost (each loaded once, tested
 /// against all open queries while hot), then the query's forward frames,
 /// then its inverse frames — fixes the hit priority: probes resolve in
-/// strict FIFO order across the whole shard, so the first hit per query
-/// is the one at the smallest `(rep, side, frame)` regardless of the
-/// wavefront depth, and the gate never skips a candidate that could hit
-/// (see the module docs), so the gate setting cannot change it either.
+/// strict FIFO order across the whole shard, so hits are accepted in
+/// `(rep, side, frame)` order regardless of the wavefront depth, and the
+/// gate never skips a candidate that could be accepted (see the module
+/// docs), so the gate setting cannot change them either.
 ///
 /// The gate runs a stage ahead: the ≤ 2·n! candidates of one
 /// representative and one query are gated as one batch
-/// ([`InvariantIndex::admits_batch`]), then replayed in order through
-/// count → gated? → canonicalize → probe ring. The replay stops exactly
-/// where a candidate-at-a-time loop would; verdicts for candidates past
-/// a hit are speculative work and are not counted.
+/// ([`InvariantIndex::admits_batch`]) against the query's mask, then
+/// replayed in order through count → gated? → canonicalize → probe ring.
+/// A query whose mask empties stops there; verdicts for its candidates
+/// past that point are speculative work and are not counted.
+#[allow(clippy::too_many_arguments)] // hot kernel, deliberately flat
 fn scan_shard(
     tables: &SearchTables,
+    rule: &ResidueRule,
+    ib: usize,
     shard: &[Perm],
     queries: &[PreparedQuery],
-    open: &[usize],
+    open: &[OpenQuery],
     gate: Option<&InvariantIndex>,
     probe_depth: usize,
-) -> ShardResult {
+) -> Vec<ShardQuery> {
     let sym = tables.sym();
     let table = tables.table();
-    let budget = tables.k();
-    let mut hits: Vec<Option<(Perm, Side, u32)>> = vec![None; open.len()];
-    let mut stats = vec![SearchStats::default(); open.len()];
-    let mut rings: Vec<ProbeRing<InFlight>> =
-        open.iter().map(|_| ProbeRing::new(probe_depth)).collect();
+    let mut states: Vec<ShardQuery> = open
+        .iter()
+        .map(|open| ShardQuery {
+            mask: open.mask,
+            best: None,
+            corrupt: None,
+            ring: ProbeRing::new(probe_depth),
+            stats: SearchStats::default(),
+        })
+        .collect();
     let mut remaining = open.len();
     let mut batch: Vec<Perm> = Vec::new();
     'reps: for &rep in shard {
         // A self-inverse representative contributes the same candidate
         // classes on both sides; skip the redundant inverse side.
         let rep_self_inverse = rep.inverse() == rep;
-        for (slot, &q) in open.iter().enumerate() {
-            if hits[slot].is_some() {
+        for (state, open) in states.iter_mut().zip(open) {
+            if state.mask == 0 {
                 continue;
             }
-            let query = &queries[q];
+            let query = &queries[open.query];
             batch.clear();
             batch.extend(query.fwd.iter().map(|&(frame, _)| frame.then(rep)));
             if !rep_self_inverse {
                 batch.extend(query.inv.iter().map(|&(frame, _)| rep.then(frame)));
             }
-            // A hit's residue has distance exactly `budget` (= k); a
-            // candidate no stored function of that size shares invariants
-            // with must miss the probe, so it is never canonicalized.
-            let admitted = gate.map_or(u64::MAX, |index| index.admits_batch(&batch, budget));
-            let ring = &mut rings[slot];
-            let stat = &mut stats[slot];
+            // A candidate no stored function of an allowed residue bucket
+            // shares invariants with cannot be accepted, so it is never
+            // canonicalized.
+            let admitted = gate.map_or(u64::MAX, |index| index.admits_batch(&batch, state.mask));
             for (j, &composition) in batch.iter().enumerate() {
-                stat.considered += 1;
+                state.stats.considered += 1;
                 if admitted >> j & 1 == 0 {
-                    stat.gated += 1;
+                    state.stats.gated += 1;
                     continue;
                 }
                 let canon = sym.canonical(composition);
-                stat.canonicalized += 1;
+                state.stats.canonicalized += 1;
                 let (side, step) = match query.fwd.get(j) {
                     Some(&(_, step)) => (Side::Fwd, step),
                     None => (Side::Inv, query.inv[j - query.fwd.len()].1),
                 };
-                let tag = InFlight { rep, side, step };
-                if let Some((prev, tag)) = ring.push(table.probe_start(canon), tag) {
-                    stat.probed += 1;
+                let tag = InFlight {
+                    rep,
+                    side,
+                    step,
+                    canon,
+                };
+                if let Some((prev, tag)) = state.ring.push(table.probe_start(canon), tag) {
+                    state.stats.probed += 1;
                     if table.probe_finish(prev) {
-                        hits[slot] = Some((tag.rep, tag.side, tag.step));
-                        break;
+                        state.accept(tables, rule, ib, &tag);
+                        if state.mask == 0 {
+                            break;
+                        }
                     }
                 }
             }
-            if hits[slot].is_some() {
-                ring.clear();
+            if state.mask == 0 {
+                state.ring.clear();
                 remaining -= 1;
                 if remaining == 0 {
                     break 'reps;
@@ -1021,21 +855,20 @@ fn scan_shard(
             }
         }
     }
-    // Drain the wavefronts of still-open queries (FIFO, so the first
-    // successful resolve is still the earliest candidate).
-    for (slot, ring) in rings.iter_mut().enumerate() {
-        if hits[slot].is_some() {
-            continue;
-        }
-        while let Some((probe, tag)) = ring.pop() {
-            stats[slot].probed += 1;
-            if table.probe_finish(probe) {
-                hits[slot] = Some((tag.rep, tag.side, tag.step));
+    // Drain the wavefronts of still-open queries (FIFO, so hits are
+    // still accepted in candidate order).
+    for state in &mut states {
+        while state.mask != 0 {
+            let Some((probe, tag)) = state.ring.pop() else {
                 break;
+            };
+            state.stats.probed += 1;
+            if table.probe_finish(probe) {
+                state.accept(tables, rule, ib, &tag);
             }
         }
     }
-    ShardResult { hits, stats }
+    states
 }
 
 #[cfg(test)]

@@ -7,7 +7,9 @@
 //!
 //! * a quantum-cost [`Synthesizer`] over cost-bucketed tables
 //!   ([`SearchTables::generate_weighted`] with [`CostModel::quantum`]),
-//!   running the cost-bounded meet-in-the-middle scan, and
+//!   running the same meet-in-the-middle scan as the gate-count engine
+//!   under the same residue rule — threaded, batched and gated alike
+//!   (see the [`search` module](crate::search) docs) — and
 //! * a [`DepthSynthesizer`] over the parallel-layer alphabet.
 //!
 //! Laziness matters operationally: the serve layer can hold a suite and

@@ -9,7 +9,9 @@ use revsynth_perm::Perm;
 use crate::error::SynthesisError;
 use crate::search::{SearchOptions, SearchStats};
 
-/// Optimal-circuit synthesizer for reversible functions of size ≤ 2k.
+/// Optimal-circuit synthesizer for reversible functions within the
+/// tables' reach: size ≤ 2k on gate-count tables, cost ≤
+/// [`SearchTables::cost_reach`] on cost-bucketed ones.
 ///
 /// Construct from precomputed tables ([`Synthesizer::new`]) or generate
 /// them on the spot ([`Synthesizer::from_scratch`]). The synthesizer is
@@ -75,109 +77,56 @@ impl Synthesizer {
         self.tables.wires()
     }
 
-    /// The deepest size searchable with these tables: `k + deepest list`
-    /// = `2k` on gate-count tables (every size-≤k list is stored), and
-    /// the guaranteed cost reach `2·max_cost − max_gate_cost + 1` on
-    /// cost-bucketed tables ([`SearchTables::cost_reach`]).
+    /// The deepest cost searchable with these tables: the guaranteed
+    /// meet-in-the-middle reach [`SearchTables::cost_reach`], which is
+    /// `2k` on gate-count tables and `2·max_cost − max_gate_cost + 1` on
+    /// cost-bucketed ones.
     #[must_use]
     pub fn max_size(&self) -> usize {
-        if self.tables.is_cost_bucketed() {
-            self.tables.cost_reach() as usize
-        } else {
-            2 * self.tables.k()
-        }
+        self.tables.cost_reach() as usize
     }
 
-    /// Synthesizes a gate-count-minimal circuit for `f`, searching up to
-    /// [`max_size`](Self::max_size) gates.
+    /// Synthesizes a cost-minimal circuit for `f` under the tables'
+    /// model (gate-count-minimal on gate-count tables), searching up to
+    /// [`max_size`](Self::max_size).
     ///
     /// # Errors
     ///
     /// [`SynthesisError::DomainMismatch`] if `f` moves a point outside the
-    /// domain; [`SynthesisError::SizeExceedsLimit`] if `f` needs more than
-    /// `2k` gates.
+    /// domain; [`SynthesisError::SizeExceedsLimit`] if `f` costs more
+    /// than [`max_size`](Self::max_size).
     pub fn synthesize(&self, f: Perm) -> Result<Circuit, SynthesisError> {
         self.synthesize_within(f, self.max_size())
             .map(|s| s.circuit)
     }
 
     /// Like [`synthesize`](Self::synthesize) but bounds the search to
-    /// circuits of at most `limit` gates and reports search statistics.
+    /// circuits of cost at most `limit` and reports search statistics:
+    /// [`synthesize_with`](Self::synthesize_with) on one thread.
     ///
     /// The meet-in-the-middle phase runs the frame-hoisted engine (see the
     /// [`search` module](crate::search) docs): the ≤ `2·n!` symmetry
     /// frames of `f` are computed and deduplicated once, then the stored
-    /// size-`i` representatives are scanned directly — per candidate, one
+    /// representatives are scanned directly — per candidate, one
     /// composition, one canonicalization and one pipelined hash probe.
     ///
     /// # Errors
     ///
-    /// As [`synthesize`](Self::synthesize), with `limit` in place of `2k`.
+    /// As [`synthesize`](Self::synthesize), with `limit` in place of
+    /// [`max_size`](Self::max_size).
     pub fn synthesize_within(&self, f: Perm, limit: usize) -> Result<Synthesis, SynthesisError> {
-        self.check_domain(f)?;
-        // Cost-bucketed tables route through the cost-bounded engine
-        // (same fast path, cost-ordered pair scan instead of level scan).
-        if self.tables.is_cost_bucketed() {
-            return self.synthesize_with(f, &SearchOptions::new().threads(1).limit(limit));
-        }
-        // Fast path: size ≤ k.
-        let peeled = self
-            .peel(f)
-            .map_err(|detail| SynthesisError::CorruptTables {
-                function: f,
-                detail,
-            })?;
-        if let Some(circuit) = peeled {
-            if circuit.len() > limit {
-                return Err(SynthesisError::SizeExceedsLimit { function: f, limit });
-            }
-            return Ok(Synthesis {
-                cost: circuit.len() as u64,
-                circuit,
-                lists_scanned: 0,
-                candidates_tested: 0,
-                stats: SearchStats::default(),
-            });
-        }
-
-        // Meet in the middle: find the smallest i with a size-i member g
-        // such that f.then(g) has size ≤ k; then f = (f.then(g)).then(g⁻¹).
-        let k = self.tables.k();
-        let deepest = k.min(limit.saturating_sub(k));
-        let query = self.prepare_query(f);
-        let opts = SearchOptions::new().threads(1);
-        let outcome = self.mitm_scan(std::slice::from_ref(&query), deepest, &opts);
-        match outcome.hits[0] {
-            Some(ref hit) => self.resolve_hit(f, hit, outcome.stats[0]),
-            None => Err(SynthesisError::SizeExceedsLimit { function: f, limit }),
-        }
+        self.synthesize_with(f, &SearchOptions::new().threads(1).limit(limit))
     }
 
-    /// The optimal size of `f` without building the circuit (cheaper in
-    /// the meet-in-the-middle phase: the halves are never reconstructed).
+    /// The optimal cost of `f` (its gate count on gate-count tables)
+    /// without building the circuit: [`size_with`](Self::size_with) on
+    /// one thread.
     ///
     /// # Errors
     ///
     /// As [`synthesize`](Self::synthesize).
     pub fn size(&self, f: Perm) -> Result<usize, SynthesisError> {
-        self.check_domain(f)?;
-        if self.tables.is_cost_bucketed() {
-            return self.size_with(f, &SearchOptions::new().threads(1));
-        }
-        if let Some(size) = self.tables.size_of(f) {
-            return Ok(size);
-        }
-        let k = self.tables.k();
-        let query = self.prepare_query(f);
-        let opts = SearchOptions::new().threads(1);
-        let outcome = self.mitm_scan(std::slice::from_ref(&query), k, &opts);
-        match outcome.hits[0] {
-            Some(ref hit) => Ok(k + hit.level),
-            None => Err(SynthesisError::SizeExceedsLimit {
-                function: f,
-                limit: self.max_size(),
-            }),
-        }
+        self.size_with(f, &SearchOptions::new().threads(1))
     }
 
     pub(crate) fn check_domain(&self, f: Perm) -> Result<(), SynthesisError> {

@@ -11,8 +11,15 @@
 //! The per-query counts of each option set are folded into an FNV-1a
 //! digest next to their totals. On a mismatch the test prints the full
 //! table it measured, in the layout of the pins below.
+//!
+//! A second leg pins the answers of the same scan on cost-bucketed
+//! (quantum-cost) tables: circuit, cost and buckets scanned, across
+//! thread counts and the gate setting. Its stats are not pinned: the
+//! gate tests a batch against the residue mask in force when the batch
+//! starts, so the work done depends on when earlier hits resolve.
 
-use revsynth_circuit::{Circuit, GateLib};
+use revsynth_bfs::SearchTables;
+use revsynth_circuit::{Circuit, CostModel, GateLib};
 use revsynth_core::{SearchOptions, SearchStats, Synthesizer};
 use revsynth_perm::Perm;
 
@@ -72,18 +79,72 @@ const STATS: [StatsPin; 8] = [
     (2, 8, false, 75993, 0, 75993, 75610, 0xe1f865207f2b017f),
 ];
 
-/// The seeded query set.
-fn queries() -> Vec<Perm> {
-    let lib = GateLib::nct(4);
-    let synth = synth();
-    let mut state = 0x005E_ED0F_C0DE_u64;
-    let mut next = move || {
+/// Quantum-cost queries drawn, each a random NCT gate string whose summed
+/// quantum cost stays within the budget-7 tables' reach of 10 and whose
+/// function costs more than the budget (so every one reaches the scan).
+const QUANTUM_QUERIES: usize = 32;
+
+/// `(circuit, cost, buckets scanned)` of each quantum query, identical
+/// under every option set.
+const QUANTUM: [(&str, u64, usize); QUANTUM_QUERIES] = [
+    ("CNOT(c,d) CNOT(a,d) CNOT(d,c) TOF(c,d,b)", 8, 5),
+    ("TOF(c,d,b) TOF(b,c,a)", 10, 5),
+    (
+        "CNOT(a,d) TOF(c,d,a) CNOT(b,d) CNOT(a,d) CNOT(d,b) CNOT(b,c)",
+        10,
+        3,
+    ),
+    ("TOF(b,d,a) TOF(a,b,d)", 10, 5),
+    ("CNOT(b,d) CNOT(d,a) TOF(a,b,d) CNOT(d,a)", 8, 1),
+    (
+        "TOF(c,d,b) CNOT(c,d) CNOT(d,c) CNOT(a,b) NOT(c) CNOT(c,b)",
+        10,
+        3,
+    ),
+    ("NOT(b) TOF(b,c,d) CNOT(d,b) NOT(c)", 8, 1),
+    ("TOF(a,b,c) TOF(c,d,a)", 10, 5),
+    ("TOF(c,d,b) TOF(a,d,c)", 10, 5),
+    ("CNOT(b,d) CNOT(b,a) TOF(b,d,c) CNOT(a,d)", 8, 1),
+    ("TOF(a,b,d) TOF(c,d,b)", 10, 5),
+    ("CNOT(b,c) CNOT(d,a) TOF(a,c,d) NOT(d) CNOT(b,d)", 9, 2),
+    ("TOF(a,c,d) TOF(b,c,a)", 10, 5),
+    ("CNOT(a,b) CNOT(d,c) CNOT(a,d) CNOT(b,a) TOF(c,d,a)", 9, 5),
+    ("TOF(a,d,c) TOF(a,c,b)", 10, 5),
+    ("CNOT(c,a) TOF(a,d,b) CNOT(d,a) NOT(d)", 8, 1),
+    ("CNOT(b,a) NOT(a) CNOT(a,c) TOF(b,d,a) CNOT(c,d)", 9, 6),
+    ("CNOT(b,c) NOT(b) TOF(b,d,c) NOT(d)", 8, 1),
+    ("TOF(a,c,d) TOF(c,d,a)", 10, 5),
+    ("CNOT(b,a) TOF(a,d,c) CNOT(c,a) CNOT(d,c)", 8, 1),
+    ("TOF(b,c,d) TOF(a,d,b)", 10, 5),
+    ("TOF(a,c,b) TOF(a,d,c)", 10, 5),
+    ("CNOT(d,a) CNOT(c,d) TOF(a,d,b) NOT(c)", 8, 1),
+    ("TOF(a,c,b) TOF(a,b,d)", 10, 5),
+    ("TOF(b,c,d) CNOT(c,b) CNOT(c,a) CNOT(d,b)", 8, 1),
+    ("CNOT(d,a) CNOT(d,c) TOF(a,c,d) CNOT(b,d)", 8, 1),
+    ("NOT(b) NOT(a) TOF(a,b,d) NOT(c) CNOT(c,d)", 9, 2),
+    ("CNOT(d,a) TOF(a,d,c) CNOT(c,b) CNOT(b,d) CNOT(b,c)", 9, 2),
+    ("TOF(a,d,b) TOF(b,d,c)", 10, 5),
+    ("TOF(a,c,d) TOF(b,d,a)", 10, 5),
+    ("TOF(a,d,c) TOF(a,c,b)", 10, 5),
+    ("CNOT(d,c) TOF(a,c,b) CNOT(d,c) CNOT(a,b) CNOT(b,c)", 9, 2),
+];
+
+/// A splitmix64 stream.
+fn splitmix(mut state: u64) -> impl FnMut() -> u64 {
+    move || {
         state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
-    };
+    }
+}
+
+/// The seeded query set.
+fn queries() -> Vec<Perm> {
+    let lib = GateLib::nct(4);
+    let synth = synth();
+    let mut next = splitmix(0x005E_ED0F_C0DE);
     let mut out = Vec::with_capacity(QUERIES);
     while out.len() < QUERIES {
         let gates = 4 + (next() % 3) as usize;
@@ -183,5 +244,90 @@ fn search_circuits_and_stats_are_pinned() {
     assert!(
         shown.iter().map(String::as_str).eq(CIRCUITS) && table[..] == STATS[..],
         "search work drifted from the pins; measured:\n{measured}"
+    );
+}
+
+fn quantum_synth() -> &'static Synthesizer {
+    static S: std::sync::OnceLock<Synthesizer> = std::sync::OnceLock::new();
+    S.get_or_init(|| {
+        Synthesizer::new(SearchTables::generate_weighted(
+            GateLib::nct(4),
+            CostModel::quantum(),
+            7,
+        ))
+    })
+}
+
+/// The seeded quantum query set, built like perf_report's quantum rows:
+/// gates are appended until the next one would push the string's cost
+/// past the reach.
+fn quantum_queries() -> Vec<Perm> {
+    let lib = GateLib::nct(4);
+    let model = CostModel::quantum();
+    let tables = quantum_synth().tables();
+    let reach = tables.cost_reach();
+    let mut next = splitmix(0x0C05_7ED0_C0DE);
+    let mut out = Vec::with_capacity(QUANTUM_QUERIES);
+    while out.len() < QUANTUM_QUERIES {
+        let (mut f, mut cost) = (Perm::identity(), 0);
+        loop {
+            let id = (next() % lib.len() as u64) as usize;
+            let gate_cost = model.gate_cost(lib.gate(id));
+            if cost + gate_cost > reach {
+                break;
+            }
+            cost += gate_cost;
+            f = f.then(lib.perm_of(id));
+        }
+        if tables.cost_of(f).is_none() {
+            out.push(f);
+        }
+    }
+    out
+}
+
+#[test]
+fn quantum_answers_are_pinned_across_threads_and_gate() {
+    let synth = quantum_synth();
+    let model = CostModel::quantum();
+    let fs = quantum_queries();
+    let mut answers: Vec<(String, u64, usize)> = Vec::new();
+    for threads in [1usize, 2] {
+        for gate in [true, false] {
+            let opts = SearchOptions::new().threads(threads).filter(gate);
+            let batch = synth.synthesize_many(&fs, &opts);
+            for (j, &f) in fs.iter().enumerate() {
+                let syn = synth
+                    .synthesize_with(f, &opts)
+                    .unwrap_or_else(|e| panic!("query {j}: {e}"));
+                assert_eq!(syn.circuit.perm(4), f, "query {j}");
+                assert_eq!(syn.circuit.cost(&model), syn.cost, "query {j}");
+                let batched = batch[j]
+                    .as_ref()
+                    .unwrap_or_else(|e| panic!("query {j}: {e}"));
+                assert_eq!(batched.circuit, syn.circuit, "batched query {j}, {opts:?}");
+                assert_eq!(batched.cost, syn.cost, "batched query {j}, {opts:?}");
+                assert_eq!(
+                    batched.lists_scanned, syn.lists_scanned,
+                    "batched query {j}"
+                );
+                let answer = (syn.circuit.to_string(), syn.cost, syn.lists_scanned);
+                match answers.get(j) {
+                    Some(pinned) => assert_eq!(&answer, pinned, "query {j}, {opts:?}"),
+                    None => answers.push(answer),
+                }
+            }
+        }
+    }
+    let measured: String = answers
+        .iter()
+        .map(|(c, cost, lists)| format!("    (\"{c}\", {cost}, {lists}),\n"))
+        .collect();
+    assert!(
+        answers
+            .iter()
+            .map(|(c, cost, lists)| (c.as_str(), *cost, *lists))
+            .eq(QUANTUM),
+        "quantum answers drifted from the pins; measured:\n{measured}"
     );
 }

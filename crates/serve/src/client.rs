@@ -151,8 +151,7 @@ impl RetryPolicy {
 }
 
 /// Options for one query: cost model, server-side deadline, retry
-/// policy — the single entry point [`Client::query_opts`] subsumes the
-/// old `query_with_*` method family.
+/// policy — all taken by the single entry point [`Client::query_opts`].
 ///
 /// ```
 /// # use revsynth_serve::{QueryOptions, RetryPolicy};
@@ -321,60 +320,6 @@ impl Client {
             }
         }
         unreachable!("the last attempt always returns")
-    }
-
-    /// Synthesizes a cost-minimal circuit for `f` under the given cost
-    /// model on the server.
-    ///
-    /// # Errors
-    ///
-    /// As [`query_opts`](Self::query_opts).
-    #[deprecated(note = "use `query_opts(f, &QueryOptions::new().cost_model(kind))`")]
-    pub fn query_with_cost(&mut self, f: Perm, kind: CostKind) -> Result<Circuit, ClientError> {
-        self.query_opts(f, &QueryOptions::new().cost_model(kind))
-    }
-
-    /// [`query_opts`](Self::query_opts) with a cost model and an
-    /// optional server-side deadline.
-    ///
-    /// # Errors
-    ///
-    /// As [`query_opts`](Self::query_opts).
-    #[deprecated(
-        note = "use `query_opts(f, &QueryOptions::new().cost_model(kind).deadline_ms(ms))`"
-    )]
-    pub fn query_with_deadline(
-        &mut self,
-        f: Perm,
-        kind: CostKind,
-        deadline_ms: Option<u32>,
-    ) -> Result<Circuit, ClientError> {
-        let opts = QueryOptions {
-            cost_model: kind,
-            deadline_ms,
-            retry: None,
-        };
-        self.query_opts(f, &opts)
-    }
-
-    /// [`query_opts`](Self::query_opts) with a cost model and an
-    /// overload-retry policy.
-    ///
-    /// # Errors
-    ///
-    /// As [`query_opts`](Self::query_opts); still
-    /// [`ClientError::Overloaded`] if every attempt was shed.
-    #[deprecated(note = "use `query_opts(f, &QueryOptions::new().cost_model(kind).retry(policy))`")]
-    pub fn query_with_retry(
-        &mut self,
-        f: Perm,
-        kind: CostKind,
-        policy: &RetryPolicy,
-    ) -> Result<Circuit, ClientError> {
-        self.query_opts(
-            f,
-            &QueryOptions::new().cost_model(kind).retry(policy.clone()),
-        )
     }
 
     /// One round trip with the error demultiplexing every non-query

@@ -99,7 +99,5 @@ pub use scheduler::{
     Scheduler, SchedulerCounters, SchedulerMetrics, SchedulerOptions, ServeError, Submission,
     TicketHandle,
 };
-#[allow(deprecated)]
-pub use server::ServerConfig;
 pub use server::{RestoreSummary, ServeConfig, Server, ServerHandle};
 pub use stats::{FieldKind, HealthReport, LatencyHistogram, ServeStats};

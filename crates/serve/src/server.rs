@@ -127,8 +127,7 @@ const SLOW_RING_CAPACITY: usize = 256;
 ///
 /// Construct with [`ServeConfig::new`] (or `default()`) and chain
 /// setters; every field is also public for struct-literal updates.
-/// [`Server::bind`] accepts `&ServeConfig`, `ServeConfig`, or (for one
-/// release) the deprecated [`ServerConfig`].
+/// [`Server::bind`] accepts `&ServeConfig` or `ServeConfig`.
 ///
 /// ```
 /// # use revsynth_serve::ServeConfig;
@@ -350,94 +349,6 @@ impl ServeConfig {
 impl From<&ServeConfig> for ServeConfig {
     fn from(config: &ServeConfig) -> ServeConfig {
         config.clone()
-    }
-}
-
-/// The pre-PR-10 server configuration, superseded by [`ServeConfig`]
-/// (every field carries over by name; `ServeConfig` adds `cores` and
-/// the readiness-backend knob). [`Server::bind`] still accepts it
-/// directly for one release.
-#[deprecated(note = "use `ServeConfig`; every field carries over by name")]
-#[derive(Debug, Clone)]
-pub struct ServerConfig {
-    /// See [`ServeConfig::port`].
-    pub port: u16,
-    /// See [`ServeConfig::workers`].
-    pub workers: usize,
-    /// See [`ServeConfig::cache_capacity`].
-    pub cache_capacity: usize,
-    /// See [`ServeConfig::search`].
-    pub search: SearchOptions,
-    /// See [`ServeConfig::batch_linger`].
-    pub batch_linger: Duration,
-    /// See [`ServeConfig::max_queue`].
-    pub max_queue: usize,
-    /// See [`ServeConfig::max_conns`].
-    pub max_conns: usize,
-    /// See [`ServeConfig::retry_after_ms`].
-    pub retry_after_ms: u32,
-    /// See [`ServeConfig::faults`].
-    pub faults: Option<Arc<FaultPlan>>,
-    /// See [`ServeConfig::snapshot`].
-    pub snapshot: Option<PathBuf>,
-    /// See [`ServeConfig::snapshot_interval`].
-    pub snapshot_interval: Option<Duration>,
-    /// See [`ServeConfig::slow_query_us`].
-    pub slow_query_us: u64,
-    /// See [`ServeConfig::instrumentation`].
-    pub instrumentation: bool,
-}
-
-#[allow(deprecated)]
-impl Default for ServerConfig {
-    /// Matches [`ServeConfig::default`] field for field.
-    fn default() -> Self {
-        let d = ServeConfig::default();
-        ServerConfig {
-            port: d.port,
-            workers: d.workers,
-            cache_capacity: d.cache_capacity,
-            search: d.search,
-            batch_linger: d.batch_linger,
-            max_queue: d.max_queue,
-            max_conns: d.max_conns,
-            retry_after_ms: d.retry_after_ms,
-            faults: d.faults,
-            snapshot: d.snapshot,
-            snapshot_interval: d.snapshot_interval,
-            slow_query_us: d.slow_query_us,
-            instrumentation: d.instrumentation,
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl From<&ServerConfig> for ServeConfig {
-    fn from(old: &ServerConfig) -> ServeConfig {
-        ServeConfig {
-            port: old.port,
-            cores: 1,
-            workers: old.workers,
-            cache_capacity: old.cache_capacity,
-            search: old.search,
-            batch_linger: old.batch_linger,
-            max_queue: old.max_queue,
-            max_conns: old.max_conns,
-            retry_after_ms: old.retry_after_ms,
-            faults: old.faults.clone(),
-            snapshot: old.snapshot.clone(),
-            snapshot_interval: old.snapshot_interval,
-            slow_query_us: old.slow_query_us,
-            instrumentation: old.instrumentation,
-            portable_poll: false,
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl From<ServerConfig> for ServeConfig {
-    fn from(old: ServerConfig) -> ServeConfig {
-        ServeConfig::from(&old)
     }
 }
 
@@ -842,8 +753,7 @@ fn bind_listeners(port: u16, cores: usize) -> io::Result<(Vec<TcpListener>, Sock
 
 impl Server {
     /// Binds one listener per configured core and starts the scheduler
-    /// workers. Accepts a [`ServeConfig`] by value or reference (or,
-    /// for one release, the deprecated [`ServerConfig`]).
+    /// workers. Accepts a [`ServeConfig`] by value or reference.
     ///
     /// Queries carry a per-request cost model; the suite's quantum and
     /// depth engines are generated lazily on the first query that needs
@@ -1783,17 +1693,5 @@ mod tests {
         assert_eq!(built.slow_query_us, 1_000);
         assert!(!built.instrumentation);
         assert!(built.portable_poll);
-        // The deprecated shim maps field-for-field onto the new config
-        // with single-core defaults for the fields it lacks.
-        #[allow(deprecated)]
-        let from_old = ServeConfig::from(ServerConfig {
-            port: 7878,
-            max_queue: 9,
-            ..ServerConfig::default()
-        });
-        assert_eq!(from_old.port, 7878);
-        assert_eq!(from_old.max_queue, 9);
-        assert_eq!(from_old.cores, 1);
-        assert!(!from_old.portable_poll);
     }
 }

@@ -266,41 +266,3 @@ fn loadgen_quick_run_is_clean() {
     Client::connect(addr).unwrap().shutdown_server().unwrap();
     handle.join().unwrap();
 }
-
-/// The one-release compatibility contract: the deprecated
-/// `ServerConfig` + `query_with_*` shims must keep serving, bit-for-bit
-/// equivalent to their `ServeConfig`/`QueryOptions` replacements.
-#[test]
-#[allow(deprecated)]
-fn deprecated_shims_still_serve() {
-    let suite = Arc::new(SynthesisSuite::new(
-        Synthesizer::from_scratch(4, 2),
-        SuiteConfig {
-            quantum_budget: 7,
-            depth_budget: 2,
-        },
-    ));
-    let old = revsynth_serve::ServerConfig::default();
-    let handle = Server::bind(suite, &old)
-        .expect("bind via deprecated config")
-        .spawn();
-    let mut client = Client::connect(handle.addr()).unwrap();
-
-    let base: Circuit = "TOF(a,b,d) CNOT(a,b)".parse().unwrap();
-    let f = base.perm(4);
-    let via_cost = client.query_with_cost(f, CostKind::Gates).unwrap();
-    let via_deadline = client
-        .query_with_deadline(f, CostKind::Gates, Some(30_000))
-        .unwrap();
-    let via_retry = client
-        .query_with_retry(f, CostKind::Gates, &revsynth_serve::RetryPolicy::default())
-        .unwrap();
-    let via_opts = client.query_opts(f, &QueryOptions::new()).unwrap();
-    for circuit in [&via_cost, &via_deadline, &via_retry] {
-        assert_eq!(circuit.gates(), via_opts.gates());
-        assert_eq!(circuit.perm(4), f);
-    }
-
-    client.shutdown_server().unwrap();
-    handle.join().unwrap();
-}

@@ -12,11 +12,12 @@
 //! The index maps each distinct combined invariant value occurring in the
 //! tables to the **bitmask of optimal sizes** at which it occurs (bit `d`
 //! set ⇔ some stored representative of size exactly `d` has this
-//! invariant), which also yields the minimum stored distance per invariant
-//! as `mask.trailing_zeros()`. The search engine gates with
-//! [`admits_at`](InvariantIndex::admits_at): a first meet-in-the-middle
-//! hit always has residue distance exactly `k` (see the engine docs), so
-//! the gate tests the single bit `k`.
+//! invariant; on cost-bucketed tables, of bucket `d`), which also yields
+//! the minimum stored distance per invariant as `mask.trailing_zeros()`.
+//! The search engine gates with
+//! [`admits_batch`](InvariantIndex::admits_batch) against the mask of
+//! residue buckets a hit may still use (see the engine docs); on
+//! gate-count tables that is the single bit `k`.
 //!
 //! Collisions in the combined 64-bit key only ever *merge* entries, which
 //! widens a mask — the gate stays sound (it can pass a doomed candidate,
@@ -246,8 +247,12 @@ impl InvariantIndex {
         self.admits_at(hash64shift(f.cycle_type_key()) ^ weight, distance)
     }
 
-    /// The gate for a batch of candidates: bit `i` of the result is
-    /// [`admits(fs[i], distance)`](Self::admits).
+    /// The gate for a batch of candidates: bit `i` of the result is set
+    /// ⇔ some stored representative at a distance in `allowed` (bit `d`
+    /// set ⇔ distance `d` allowed) could share `fs[i]`'s class
+    /// invariants — for a single-bit `allowed = 1 << d`, exactly
+    /// [`admits(fs[i], d)`](Self::admits). A clear bit proves the
+    /// candidate misses every allowed distance.
     ///
     /// On tables larger than the cache both stages of the gate are a
     /// dependent cache miss, one into the prefilter bitmap and one into
@@ -258,14 +263,14 @@ impl InvariantIndex {
     /// 1. compute every weight key and prefetch its prefilter word;
     /// 2. test the words, and for each survivor compute the combined key
     ///    and prefetch its home slot in both the key and the mask array;
-    /// 3. resolve each survivor's distance mask.
+    /// 3. resolve each survivor's distance mask against `allowed`.
     ///
     /// # Panics
     ///
     /// Panics if `fs` holds more than [`MAX_BATCH`](Self::MAX_BATCH)
     /// candidates.
     #[must_use]
-    pub fn admits_batch(&self, fs: &[Perm], distance: usize) -> u64 {
+    pub fn admits_batch(&self, fs: &[Perm], allowed: u32) -> u64 {
         assert!(
             fs.len() <= Self::MAX_BATCH,
             "gate batch of {} exceeds {}",
@@ -293,7 +298,7 @@ impl InvariantIndex {
         while survivors != 0 {
             let i = survivors.trailing_zeros() as usize;
             survivors &= survivors - 1;
-            admitted |= u64::from(self.admits_at(keys[i], distance)) << i;
+            admitted |= u64::from(self.distance_mask(keys[i]) & allowed != 0) << i;
         }
         admitted
     }
@@ -380,35 +385,11 @@ impl InvariantIndex {
     }
 
     /// Whether any stored representative of size **exactly** `distance`
-    /// has this invariant — the meet-in-the-middle gate test (a first hit
-    /// forces residue distance exactly `k`, so candidates failing this for
-    /// `distance = k` can never probe successfully).
+    /// has this invariant.
     #[inline]
     #[must_use]
     pub fn admits_at(&self, key: u64, distance: usize) -> bool {
         self.distance_mask(key) >> distance & 1 == 1
-    }
-
-    /// Whether any stored representative at a distance in `allowed`
-    /// (bit `d` set ⇔ distance `d` allowed) has `f`'s class invariants —
-    /// the cost-bounded engine's gate, where the allowed set is the
-    /// residual-cost **buckets** that could still improve the current
-    /// best decomposition. Staged exactly like [`admits`](Self::admits):
-    /// the weight-key prefilter first, the combined key only for
-    /// survivors; a `false` proves the candidate misses every allowed
-    /// bucket.
-    #[inline]
-    #[must_use]
-    pub fn admits_any(&self, f: Perm, allowed: u32) -> bool {
-        if allowed == 0 {
-            return false;
-        }
-        let weight = f.wire_weight_key();
-        let bit = hash64shift(weight) & self.weight_bit_mask;
-        if self.weight_bits[(bit >> 6) as usize] >> (bit & 63) & 1 == 0 {
-            return false;
-        }
-        self.distance_mask(hash64shift(f.cycle_type_key()) ^ weight) & allowed != 0
     }
 
     /// Number of distinct invariant values stored.
@@ -562,35 +543,45 @@ mod tests {
     fn staged_admits_equals_exact_admits() {
         // The weight-key prefilter may only reject what the exact lookup
         // also rejects, and the batched gate must answer exactly like the
-        // one-candidate gate: all three agree on every candidate, distance
-        // and batch length, on a built index and on its compact layout.
+        // one-candidate gate: a batch bit is set iff some allowed distance
+        // admits the candidate. All agree on every candidate, mask (single
+        // distances and multi-bit sets) and batch length, on a built index
+        // and on its compact layout.
         let entries: Vec<(Perm, usize)> = (0..100u64)
-            .map(|i| (perm_of(i), (i % 6) as usize))
+            .map(|i| (perm_of(i), (i % 9) as usize))
             .collect();
         let built = InvariantIndex::build(entries.iter().copied(), entries.len());
         let candidates: Vec<Perm> = (0..500u64).map(perm_of).collect();
+        let masks: Vec<u32> = (0..9)
+            .map(|d| 1 << d)
+            .chain([0, 0b1010, 0b1_1000_0110, 0x1FF, u32::MAX])
+            .collect();
         for index in [built.compact(), built] {
+            // Bit d of admitted_at[i] ⇔ the one-candidate gate admits
+            // candidate i at distance d.
+            let mut admitted_at = vec![0u32; candidates.len()];
             for (i, &p) in candidates.iter().enumerate() {
                 let key = InvariantIndex::key_of(p);
-                for d in 0..8 {
+                for d in 0..32 {
                     assert_eq!(
                         index.admits(p, d),
                         index.admits_at(key, d),
                         "perm {i}, distance {d}"
                     );
+                    admitted_at[i] |= u32::from(index.admits(p, d)) << d;
                 }
             }
             for len in 0..=48 {
                 for start in (0..candidates.len() - len).step_by(37) {
                     let batch = &candidates[start..start + len];
-                    for d in 0..8 {
-                        let admitted = index.admits_batch(batch, d);
+                    for &allowed in &masks {
+                        let admitted = index.admits_batch(batch, allowed);
                         assert_eq!(admitted >> len, 0, "bits past the batch stay clear");
-                        for (j, &p) in batch.iter().enumerate() {
+                        for j in 0..len {
                             assert_eq!(
                                 admitted >> j & 1 == 1,
-                                index.admits(p, d),
-                                "batch {start}+{len}, entry {j}, distance {d}"
+                                admitted_at[start + j] & allowed != 0,
+                                "batch {start}+{len}, entry {j}, mask {allowed:#x}"
                             );
                         }
                     }
@@ -603,26 +594,7 @@ mod tests {
     #[should_panic(expected = "exceeds")]
     fn oversized_gate_batches_are_rejected() {
         let index = InvariantIndex::build([(Perm::identity(), 0)], 1);
-        let _ = index.admits_batch(&[Perm::identity(); InvariantIndex::MAX_BATCH + 1], 0);
-    }
-
-    #[test]
-    fn admits_any_agrees_with_per_distance_admits() {
-        let entries: Vec<(Perm, usize)> = (0..120u64)
-            .map(|i| (perm_of(i), (i % 9) as usize))
-            .collect();
-        let index = InvariantIndex::build(entries.iter().copied(), entries.len());
-        for i in 0..300u64 {
-            let p = perm_of(i);
-            for allowed in [0u32, 1, 0b1010, 0x1FF, u32::MAX] {
-                let expected = (0..32).any(|d| allowed >> d & 1 == 1 && index.admits(p, d));
-                assert_eq!(
-                    index.admits_any(p, allowed),
-                    expected,
-                    "perm {i} mask {allowed:#x}"
-                );
-            }
-        }
+        let _ = index.admits_batch(&[Perm::identity(); InvariantIndex::MAX_BATCH + 1], 1);
     }
 
     #[test]

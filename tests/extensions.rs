@@ -4,8 +4,9 @@
 use std::sync::OnceLock;
 
 use revsynth::analysis::TestSet;
+use revsynth::bfs::SearchTables;
 use revsynth::circuit::{real, Circuit, CostModel, GateLib};
-use revsynth::core::{CostSynthesizer, DepthSynthesizer, PeepholeOptimizer, Synthesizer};
+use revsynth::core::{DepthSynthesizer, PeepholeOptimizer, Synthesizer};
 use revsynth::specs::{benchmark, benchmarks};
 
 fn synth_k4() -> &'static Synthesizer {
@@ -22,8 +23,9 @@ fn rd32_is_cheapest_and_shallowest_of_its_kind() {
     let model = CostModel::quantum();
     let paper_circuit = rd32.paper_circuit().expect("parses");
 
-    let cost_synth = CostSynthesizer::generate(GateLib::nct(4), model, 14);
-    let cheap = cost_synth.synthesize(rd32.perm()).expect("within budget");
+    // rd32 has quantum cost 9, within budget 7's reach of 10.
+    let cost_synth = Synthesizer::new(SearchTables::generate_weighted(GateLib::nct(4), model, 7));
+    let cheap = cost_synth.synthesize(rd32.perm()).expect("within reach");
     assert!(cheap.cost(&model) <= paper_circuit.cost(&model));
     assert_eq!(cheap.perm(4), rd32.perm());
 
@@ -103,13 +105,18 @@ fn nearest_neighbor_synthesis_is_exact_up_to_relabeling() {
 fn cost_depth_and_size_agree_on_easy_functions() {
     // For single gates: size 1; depth 1; cost = the gate's own cost.
     let model = CostModel::quantum();
-    let cost_synth = CostSynthesizer::generate(GateLib::nct(4), model, 13);
+    // TOF4 costs 13: only a budget-13 store holds it.
+    let cost_synth = Synthesizer::new(SearchTables::generate_weighted(GateLib::nct(4), model, 13));
     let depth_synth = DepthSynthesizer::generate(GateLib::nct(4), 2);
     let size_synth = synth_k4();
     for (_, gate, p) in GateLib::nct(4).iter() {
         assert_eq!(size_synth.size(p).ok(), Some(1), "{gate}");
         assert_eq!(depth_synth.depth_of(p), Some(1), "{gate}");
-        assert_eq!(cost_synth.cost_of(p), Some(model.gate_cost(gate)), "{gate}");
+        assert_eq!(
+            cost_synth.size(p),
+            Ok(model.gate_cost(gate) as usize),
+            "{gate}"
+        );
     }
 }
 

@@ -38,10 +38,6 @@
 //! truncates the tail and appends, which keeps a resumed file
 //! **byte-identical** to an uninterrupted run.
 //!
-//! Version 3 files ("RVSYNTB3", one whole-file checksum, not extendable)
-//! are still loaded transparently; [`SearchTables::save_v3`] writes them
-//! for downgrade compatibility.
-//!
 //! Loading validates everything it can cheaply validate: magic, header
 //! ranges, gate encodings, permutation keys, key ordering, value records,
 //! and the checksums. The hash table is rebuilt by reinsertion.
@@ -92,7 +88,6 @@ use crate::info::{decode_stored, StoredGate, IDENTITY_BYTE};
 use crate::tables::{Levels, SearchTables};
 use crate::weighted::MAX_BUCKETS;
 
-const MAGIC_V3: &[u8; 8] = b"RVSYNTB3";
 const MAGIC_V4: &[u8; 8] = b"RVSYNTB4";
 const MAGIC_V5: &[u8; 8] = b"RVSYNTB5";
 
@@ -256,11 +251,6 @@ impl<W: Write> HashingWriter<W> {
 struct HashingReader<R: Read> {
     inner: R,
     fnv: Fnv1a,
-    /// Bytes consumed through [`take`](Self::take) since construction —
-    /// lets the v3 loader bound a level count by the bytes actually left
-    /// in the file (checksum reads bypass `take` and are accounted for by
-    /// the caller).
-    consumed: u64,
 }
 
 impl<R: Read> HashingReader<R> {
@@ -268,13 +258,11 @@ impl<R: Read> HashingReader<R> {
         HashingReader {
             inner,
             fnv: Fnv1a::new(),
-            consumed: 0,
         }
     }
     fn take(&mut self, buf: &mut [u8]) -> Result<(), StoreErrorKind> {
         self.inner.read_exact(buf)?;
         self.fnv.update(buf);
-        self.consumed += buf.len() as u64;
         Ok(())
     }
     fn take_u64(&mut self) -> Result<u64, StoreErrorKind> {
@@ -300,7 +288,7 @@ impl<R: Read> HashingReader<R> {
 // Shared header/level validation
 // ---------------------------------------------------------------------------
 
-/// Validates and decodes the gate-library bytes shared by v3 and v4.
+/// Validates and decodes the gate-library bytes of the v4/v5 header.
 fn decode_library(n: usize, bytes: &[u8]) -> Result<GateLib, StoreErrorKind> {
     let mut gates = Vec::with_capacity(bytes.len());
     for (i, &byte) in bytes.iter().enumerate() {
@@ -400,119 +388,6 @@ fn assemble_loaded(
         levels,
         bucket_costs,
     ))
-}
-
-// ---------------------------------------------------------------------------
-// Version 3 (legacy): single whole-file checksum, not extendable
-// ---------------------------------------------------------------------------
-
-/// Writes the legacy v3 format (for downgrade compatibility; new code
-/// writes v4 via [`save`]).
-pub(crate) fn save_v3(tables: &SearchTables, path: &Path) -> Result<(), StoreError> {
-    let wrap = |e: io::Error| StoreError::new(path, e.into());
-    let file = File::create(path).map_err(wrap)?;
-    let mut w = HashingWriter {
-        inner: BufWriter::new(file),
-        fnv: Fnv1a::new(),
-    };
-    let mut body = || -> io::Result<()> {
-        w.put(MAGIC_V3)?;
-        w.put(&[tables.lib.wires() as u8, tables.k as u8])?;
-        let lib_len = u16::try_from(tables.lib.len()).expect("library fits u16");
-        w.put(&lib_len.to_le_bytes())?;
-        for (_, gate, _) in tables.lib.iter() {
-            w.put(&[(gate.controls() << 2) | gate.target()])?;
-        }
-        for controls in 0..4 {
-            w.put_u64(tables.model.cost_of_controls(controls))?;
-        }
-        for (i, level) in tables.levels.iter().enumerate() {
-            w.put_u64(tables.bucket_costs[i])?;
-            w.put_u64(level.len() as u64)?;
-            for &rep in level {
-                w.put_u64(rep.packed())?;
-            }
-            for &rep in level {
-                let byte = tables
-                    .table
-                    .get(rep)
-                    .expect("every level member is in the table");
-                w.put(&[byte])?;
-            }
-        }
-        let checksum = w.fnv.finish();
-        w.inner.write_all(&checksum.to_le_bytes())?;
-        w.inner.flush()
-    };
-    body().map_err(wrap)
-}
-
-/// Loads a v3 file; `r` is positioned just past the magic.
-fn load_v3(
-    mut r: HashingReader<BufReader<File>>,
-    file_len: u64,
-) -> Result<SearchTables, StoreErrorKind> {
-    let n = usize::from(r.take_u8()?);
-    let k = usize::from(r.take_u8()?);
-    if !(2..=4).contains(&n) {
-        return Err(StoreErrorKind::BadHeader(format!("wire count {n}")));
-    }
-    if k > 16 {
-        return Err(StoreErrorKind::BadHeader(format!("depth k = {k}")));
-    }
-    let mut lib_len_bytes = [0u8; 2];
-    r.take(&mut lib_len_bytes)?;
-    let lib_len = usize::from(u16::from_le_bytes(lib_len_bytes));
-    if lib_len == 0 || lib_len > 127 {
-        return Err(StoreErrorKind::BadHeader(format!("library size {lib_len}")));
-    }
-    let mut gate_bytes = vec![0u8; lib_len];
-    r.take(&mut gate_bytes)?;
-    let lib = decode_library(n, &gate_bytes)?;
-    let mut costs = [0u64; 4];
-    for slot in costs.iter_mut() {
-        *slot = r.take_u64()?;
-    }
-    let model = decode_model(costs)?;
-
-    let mut bucket_costs: Vec<u64> = Vec::with_capacity(k + 1);
-    let mut pairs: Vec<(Vec<Perm>, Vec<u8>)> = Vec::with_capacity(k + 1);
-    for i in 0..=k {
-        let bucket_cost = r.take_u64()?;
-        let ascending = match bucket_costs.last() {
-            None => bucket_cost == 0,
-            Some(&prev) => bucket_cost > prev,
-        };
-        if !ascending {
-            return Err(StoreErrorKind::Corrupt(format!(
-                "bucket {i} cost {bucket_cost} does not ascend strictly from 0"
-            )));
-        }
-        bucket_costs.push(bucket_cost);
-        // Everything after the (unread) count field except the trailing
-        // whole-file checksum is level bodies at 9 bytes per entry.
-        let body_bytes = file_len.saturating_sub(r.consumed + 8 + 8);
-        let count = read_count(&mut r, i, body_bytes)?;
-        let (keys, values) = read_level_body(&mut r, i, count)?;
-        pairs.push((keys, values));
-    }
-
-    let computed = r.fnv_value();
-    let mut checksum_bytes = [0u8; 8];
-    r.inner.read_exact(&mut checksum_bytes)?;
-    if u64::from_le_bytes(checksum_bytes) != computed {
-        return Err(StoreErrorKind::ChecksumMismatch);
-    }
-    let mut trailing = [0u8; 1];
-    if r.inner.read(&mut trailing)? != 0 {
-        return Err(StoreErrorKind::Corrupt(
-            "trailing bytes after checksum".into(),
-        ));
-    }
-
-    let mut tables = assemble_loaded(lib, model, pairs, bucket_costs)?;
-    tables.source_format = Some(3);
-    Ok(tables)
 }
 
 /// Reads and range-checks a level's count field. `body_bytes` is the
@@ -811,15 +686,6 @@ fn load_v4_with_meta(path: &Path) -> Result<(SearchTables, V4Meta), StoreError> 
     let mut magic = [0u8; 8];
     r.take(&mut magic).map_err(kind_err)?;
     if &magic != MAGIC_V4 {
-        // A v3 file is a *valid store* that merely predates checkpointing;
-        // say so instead of "bad magic".
-        if &magic == MAGIC_V3 {
-            return Err(kind_err(StoreErrorKind::BadHeader(
-                "version 3 stores cannot be extended in place; \
-                 load and re-save to upgrade to v4"
-                    .into(),
-            )));
-        }
         return Err(kind_err(StoreErrorKind::BadMagic));
     }
     load_v4_body(&mut r, file_len).map_err(kind_err)
@@ -907,7 +773,7 @@ fn load_v4_body(
 }
 
 /// Loads any format, dispatching on the magic: v5 is mapped zero-copy,
-/// v3/v4 are scanned and rebuilt.
+/// v4 is scanned and rebuilt.
 pub(crate) fn load(path: &Path) -> Result<SearchTables, StoreError> {
     let kind_err = |kind: StoreErrorKind| StoreError::new(path, kind);
     let file = File::open(path).map_err(|e| kind_err(e.into()))?;
@@ -924,15 +790,12 @@ pub(crate) fn load(path: &Path) -> Result<SearchTables, StoreError> {
             .map(|(tables, _)| tables)
             .map_err(kind_err);
     }
-    if &magic == MAGIC_V3 {
-        return load_v3(r, file_len).map_err(kind_err);
-    }
     Err(kind_err(StoreErrorKind::BadMagic))
 }
 
 /// Loads any format with *every* check enabled. For v5 this verifies all
 /// section checksums and re-runs the structural validation the fast
-/// mapped load defers; for v3/v4 it is the ordinary (always-validating)
+/// mapped load defers; for v4 it is the ordinary (always-validating)
 /// load. Backs `tables verify` and the upgrade path.
 pub(crate) fn load_validated(path: &Path) -> Result<SearchTables, StoreError> {
     let kind_err = |kind: StoreErrorKind| StoreError::new(path, kind);
@@ -1222,7 +1085,7 @@ impl ByteCursor<'_> {
 /// outside the file, overlap another section, or imply an oversized
 /// allocation), and checks the empty-slot witnesses and the level-0
 /// identity. `validate_all` adds every section checksum plus the full
-/// structural validation the v3/v4 loaders perform.
+/// structural validation the v4 loader performs.
 fn load_v5(path: &Path, validate_all: bool) -> Result<SearchTables, StoreError> {
     let kind_err = |kind: StoreErrorKind| StoreError::new(path, kind);
     if cfg!(target_endian = "big") {
@@ -1552,7 +1415,7 @@ pub struct LevelInfo {
 /// checkpointed generation is writing the same file.
 #[derive(Debug, Clone)]
 pub struct StoreInfo {
-    /// Store format version (3, 4 or 5).
+    /// Store format version (4 or 5).
     pub version: u8,
     /// Wire count.
     pub wires: usize,
@@ -1561,7 +1424,7 @@ pub struct StoreInfo {
     /// Per-level cost and class count, in file order.
     pub levels: Vec<LevelInfo>,
     /// One past the last completed level record (v4: from the trailer;
-    /// v3: the checksum offset).
+    /// v5: the file length).
     pub payload_end: u64,
     /// Total file length; bytes in `payload_end..file_len` are a torn
     /// in-flight level on v4 files.
@@ -1584,16 +1447,14 @@ pub(crate) fn peek(path: &Path) -> Result<StoreInfo, StoreError> {
         let file_len = file.metadata()?.len();
         let mut magic = [0u8; 8];
         file.read_exact(&mut magic)?;
-        let (v4, v5) = match &magic {
-            m if m == MAGIC_V5 => (false, true),
-            m if m == MAGIC_V4 => (true, false),
-            m if m == MAGIC_V3 => (false, false),
+        let v5 = match &magic {
+            m if m == MAGIC_V5 => true,
+            m if m == MAGIC_V4 => false,
             _ => return Err(StoreErrorKind::BadMagic),
         };
         let mut head = [0u8; 2];
         file.read_exact(&mut head)?;
-        let wires = usize::from(head[0]); // v3: [n, k]; v4/v5: [n, reserved]
-        let v3_k = usize::from(head[1]);
+        let wires = usize::from(head[0]); // [n, reserved]
         let mut lib_len_bytes = [0u8; 2];
         file.read_exact(&mut lib_len_bytes)?;
         let lib_len = u64::from(u16::from_le_bytes(lib_len_bytes));
@@ -1653,20 +1514,14 @@ pub(crate) fn peek(path: &Path) -> Result<StoreInfo, StoreError> {
                 file_len,
             });
         }
-        let (count, payload_end) = if v4 {
-            file.seek(SeekFrom::Current(8))?; // header fnv
-            let (levels, payload_end) = read_trailer(&mut file)?;
-            if payload_end > file_len {
-                return Err(StoreErrorKind::BadTrailer(format!(
-                    "payload end {payload_end} is outside the file (length {file_len})"
-                )));
-            }
-            (levels, payload_end)
-        } else {
-            (v3_k as u64 + 1, file_len.saturating_sub(8))
-        };
+        file.seek(SeekFrom::Current(8))?; // header fnv
+        let (count, payload_end) = read_trailer(&mut file)?;
+        if payload_end > file_len {
+            return Err(StoreErrorKind::BadTrailer(format!(
+                "payload end {payload_end} is outside the file (length {file_len})"
+            )));
+        }
         let mut levels = Vec::with_capacity(count as usize);
-        let per_record_overhead: u64 = if v4 { 24 } else { 16 };
         for i in 0..count {
             let offset = file.stream_position()?;
             if offset >= payload_end {
@@ -1678,17 +1533,16 @@ pub(crate) fn peek(path: &Path) -> Result<StoreInfo, StoreError> {
             file.read_exact(&mut rec)?;
             let cost = u64::from_le_bytes(rec[..8].try_into().expect("8 bytes"));
             let classes = u64::from_le_bytes(rec[8..16].try_into().expect("8 bytes"));
-            // Bound by the bytes actually left before payload_end so a
-            // bitflipped count cannot drive downstream allocations.
-            let max = payload_end.saturating_sub(offset + per_record_overhead) / 9;
+            // Bound by the bytes actually left before payload_end (less
+            // the record's cost, count and fnv) so a bitflipped count
+            // cannot drive downstream allocations.
+            let max = payload_end.saturating_sub(offset + 24) / 9;
             if classes > max {
                 return Err(StoreErrorKind::Corrupt(format!(
                     "level {i} count {classes} exceeds the {max} entries the remaining bytes could hold"
                 )));
             }
-            file.seek(SeekFrom::Current(
-                (9 * classes + per_record_overhead - 16) as i64,
-            ))?;
+            file.seek(SeekFrom::Current((9 * classes + 8) as i64))?;
             levels.push(LevelInfo {
                 cost,
                 classes,
@@ -1696,7 +1550,7 @@ pub(crate) fn peek(path: &Path) -> Result<StoreInfo, StoreError> {
             });
         }
         Ok(StoreInfo {
-            version: if v4 { 4 } else { 3 },
+            version: 4,
             wires,
             model,
             levels,
@@ -1796,24 +1650,21 @@ mod tests {
     }
 
     #[test]
-    fn v3_files_still_load() {
-        let tables = SearchTables::generate(3, 3);
-        let path = temp_path("v3compat");
-        tables.save_v3(&path).unwrap();
-        let loaded = SearchTables::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(loaded.levels(), tables.levels());
-        assert_eq!(loaded.model(), tables.model());
-        assert_eq!(loaded.invariants(), tables.invariants());
-    }
-
-    #[test]
     fn rejects_bad_magic() {
+        // The retired v3 magic ("RVSYNTB3", followed here by a v3 header's
+        // n = 3, k = 3) is no longer a known format either.
         let path = temp_path("magic");
-        std::fs::write(&path, b"NOTATABLESTORE__").unwrap();
-        let err = SearchTables::load(&path).unwrap_err();
+        for bytes in [&b"NOTATABLESTORE__"[..], &b"RVSYNTB3\x03\x03\x0c\x00"[..]] {
+            std::fs::write(&path, bytes).unwrap();
+            for err in [
+                SearchTables::load(&path).unwrap_err(),
+                SearchTables::load_validated(&path).unwrap_err(),
+                SearchTables::peek(&path).unwrap_err(),
+            ] {
+                assert!(matches!(err.kind(), StoreErrorKind::BadMagic), "{err:?}");
+            }
+        }
         std::fs::remove_file(&path).ok();
-        assert!(matches!(err.kind(), StoreErrorKind::BadMagic));
     }
 
     #[test]
@@ -1859,17 +1710,15 @@ mod tests {
     }
 
     #[test]
-    fn v3_bitflipped_count_is_typed_error_not_oversized_alloc() {
+    fn v4_bitflipped_count_is_typed_error_not_oversized_alloc() {
         let tables = SearchTables::generate(2, 3);
-        let path = temp_path("v3-count-flip");
-        tables.save_v3(&path).unwrap();
+        let path = temp_path("v4-count-flip");
+        tables.save(&path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
-        // Level 0's count sits after the header (magic 8 + n/k 2 +
-        // lib_len 2 + gates + model 32) and the level-0 cost (8). Flip
-        // byte 4 of the count: ~2^40 entries — *under* the old fixed
-        // plausibility cap, so the old code would have tried a
-        // multi-terabyte `Vec::with_capacity` instead of erroring.
-        let count_off = 8 + 2 + 2 + tables.lib().len() + 32 + 8;
+        // v4: header (52 + lib) + trailer 24, then level 0's cost (8)
+        // and count. Flipping byte 4 of the count asks for ~2^40 entries,
+        // which must be refused before any allocation is sized by it.
+        let count_off = 52 + tables.lib().len() + 24 + 8;
         bytes[count_off + 4] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
         let err = SearchTables::load(&path).unwrap_err();
@@ -1881,25 +1730,6 @@ mod tests {
         assert!(
             err.to_string().contains("exceeds"),
             "count must be bounded by the remaining file bytes: {err}"
-        );
-    }
-
-    #[test]
-    fn v4_bitflipped_count_is_typed_error_not_oversized_alloc() {
-        let tables = SearchTables::generate(2, 3);
-        let path = temp_path("v4-count-flip");
-        tables.save(&path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        // v4: header (52 + lib) + trailer 24, then level 0's cost (8)
-        // and count.
-        let count_off = 52 + tables.lib().len() + 24 + 8;
-        bytes[count_off + 4] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        let err = SearchTables::load(&path).unwrap_err();
-        std::fs::remove_file(&path).ok();
-        assert!(
-            matches!(err.kind(), StoreErrorKind::Corrupt(_)),
-            "unexpected error {err:?}"
         );
     }
 
@@ -1993,17 +1823,5 @@ mod tests {
         }
         assert_eq!(info.total_classes(), tables.num_representatives() as u64);
         assert_eq!(info.payload_end, info.file_len);
-    }
-
-    #[test]
-    fn peek_reads_v3_files_too() {
-        let tables = SearchTables::generate(2, 3);
-        let path = temp_path("peek-v3");
-        tables.save_v3(&path).unwrap();
-        let info = SearchTables::peek(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(info.version, 3);
-        assert_eq!(info.levels.len(), 4);
-        assert_eq!(info.total_classes(), tables.num_representatives() as u64);
     }
 }

@@ -384,9 +384,9 @@ impl SearchTables {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError`] if the store cannot be loaded (v3 files
-    /// are loadable but not extendable in place — re-save as v4 first)
-    /// or on I/O failure while appending.
+    /// Returns [`StoreError`] if the store is not a loadable v4 store
+    /// (only v4 is extendable in place) or on I/O failure while
+    /// appending.
     pub fn resume_checkpointed<P: AsRef<Path>>(
         path: P,
         budget: u64,
@@ -618,14 +618,16 @@ impl SearchTables {
         *self.bucket_costs.last().expect("bucket 0 always exists")
     }
 
-    /// The costliest single gate in the library under the table's model.
+    /// `g(c)`: the costliest library gate of cost ≤ `c` under the table's
+    /// model (0 if no gate is that cheap).
     #[must_use]
-    pub fn max_gate_cost(&self) -> u64 {
+    pub fn max_gate_cost_within(&self, c: u64) -> u64 {
         self.lib
             .iter()
             .map(|(_, gate, _)| self.model.gate_cost(gate))
+            .filter(|&g| g <= c)
             .max()
-            .expect("library is non-empty")
+            .unwrap_or(0)
     }
 
     /// The guaranteed meet-in-the-middle reach in cost units: the
@@ -644,20 +646,9 @@ impl SearchTables {
     #[must_use]
     pub fn cost_reach(&self) -> u64 {
         let b = self.max_cost();
-        let gate_costs: Vec<u64> = self
-            .lib
-            .iter()
-            .map(|(_, gate, _)| self.model.gate_cost(gate))
-            .collect();
         let mut reach = b;
         for r in b..=2 * b {
-            let gmax = gate_costs
-                .iter()
-                .copied()
-                .filter(|&g| g <= r)
-                .max()
-                .unwrap_or(1);
-            if r <= (2 * b).saturating_sub(gmax) + 1 {
+            if r <= (2 * b).saturating_sub(self.max_gate_cost_within(r)) + 1 {
                 reach = r;
             } else {
                 break;
@@ -705,8 +696,8 @@ impl SearchTables {
         self.levels.iter().map(|l| l.len() as u64).collect()
     }
 
-    /// The store format version these tables were loaded from (3, 4
-    /// or 5), or `None` when they were generated in this process. Lets
+    /// The store format version these tables were loaded from (4 or 5),
+    /// or `None` when they were generated in this process. Lets
     /// callers suggest `tables upgrade` when a faster format exists.
     #[must_use]
     pub fn source_format(&self) -> Option<u8> {
@@ -715,7 +706,7 @@ impl SearchTables {
 
     /// A format-independent digest of the logical table contents (wires,
     /// library, cost model, and every level's cost, keys and gate
-    /// records). Two stores of the same tables — v3, v4 or v5 — agree on
+    /// records). Two stores of the same tables — v4 or v5 — agree on
     /// this digest even though their file bytes differ; CI pins it across
     /// the v4→v5 upgrade.
     #[must_use]
@@ -776,8 +767,8 @@ impl SearchTables {
     /// front: on v5 stores every section checksum plus full structural
     /// checks (sorted valid levels, hash-table membership of every
     /// representative, invariant-index admission), where the fast path
-    /// defers bulk checksums to first use. v3/v4 stores are already
-    /// fully verified by their loaders, so this is the universal
+    /// defers bulk checksums to first use. v4 stores are already fully
+    /// verified by their loader, so this is the universal
     /// "trust this file" entry point used by `tables verify`.
     ///
     /// # Errors
@@ -788,18 +779,8 @@ impl SearchTables {
         crate::store::load_validated(path.as_ref())
     }
 
-    /// Serializes to the legacy v3 format (single whole-file checksum,
-    /// not extendable in place) for consumers that predate v4.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError`] on I/O failure (with the path attached).
-    pub fn save_v3<P: AsRef<Path>>(&self, path: P) -> Result<(), StoreError> {
-        crate::store::save_v3(self, path.as_ref())
-    }
-
     /// Loads tables previously written by [`save`](Self::save) or
-    /// [`save_v5`](Self::save_v5) (any format version). v3/v4 stores are
+    /// [`save_v5`](Self::save_v5) (format v4 or v5). v4 stores are
     /// deserialized and the hash table rebuilt (the paper's "load
     /// previously computed optimal circuits into RAM" step, seconds at
     /// k = 7); v5 stores are mapped and borrowed zero-copy (milliseconds

@@ -4,7 +4,7 @@
 //! uninterrupted single-shot run — for unit (breadth-first) and weighted
 //! (cost-bucketed) tables alike. These tests prove it exhaustively on
 //! n = 3 (every stop point, every stored representative compared), plus
-//! the format edges: v3 compatibility, torn tails, corrupt trailers.
+//! the format edges: torn tails, corrupt trailers.
 
 use std::path::PathBuf;
 
@@ -168,39 +168,6 @@ fn resume_at_or_below_stored_budget_is_a_no_op() {
     assert_eq!(same.levels(), orig.levels());
     assert_eq!(shallower.levels(), orig.levels(), "stores never shrink");
     std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn v3_stores_load_but_do_not_resume() {
-    let tables = SearchTables::generate(3, 3);
-    let path = temp_path("v3");
-    tables.save_v3(&path).unwrap();
-    // Loading is transparent…
-    let loaded = SearchTables::load(&path).unwrap();
-    assert_eq!(loaded.levels(), tables.levels());
-    // …but in-place extension requires the v4 trailer, and the error
-    // says so (not "bad magic" — the file is a fine, just older, store).
-    let err = SearchTables::resume_checkpointed(&path, 5, &GenOptions::new()).unwrap_err();
-    assert!(
-        matches!(err.kind(), StoreErrorKind::BadHeader(msg) if msg.contains("upgrade")),
-        "v3 resume must fail with the upgrade hint, got {err:?}"
-    );
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn v4_upgrade_of_a_v3_store_roundtrips_checkpoints() {
-    // The upgrade path: load v3, save as v4, then the v4 file resumes.
-    let tables = SearchTables::generate(3, 2);
-    let v3 = temp_path("upgrade-v3");
-    let v4 = temp_path("upgrade-v4");
-    tables.save_v3(&v3).unwrap();
-    SearchTables::load(&v3).unwrap().save(&v4).unwrap();
-    std::fs::remove_file(&v3).ok();
-    let resumed = SearchTables::resume_checkpointed(&v4, 4, &GenOptions::new()).unwrap();
-    std::fs::remove_file(&v4).ok();
-    let single = SearchTables::generate(3, 4);
-    assert_tables_identical(&resumed, &single, "v3→v4 upgrade then resume");
 }
 
 #[test]

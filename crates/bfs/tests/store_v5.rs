@@ -92,16 +92,6 @@ fn upgrade_from_checkpointed_v4_preserves_content_and_is_deterministic() {
     let twice = std::fs::read(&path).unwrap();
     assert_eq!(once, twice, "upgrade must be byte-deterministic");
 
-    // And a v3 store upgrades to the very same v5 bytes.
-    let v3 = temp_path("upgrade-from-v3");
-    orig.save_v3(&v3).unwrap();
-    SearchTables::upgrade(&v3).unwrap();
-    assert_eq!(
-        std::fs::read(&v3).unwrap(),
-        once,
-        "v3 and v4 origins converge"
-    );
-    std::fs::remove_file(&v3).ok();
     std::fs::remove_file(&path).ok();
 }
 

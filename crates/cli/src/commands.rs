@@ -799,7 +799,7 @@ fn cost_unit(kind: CostKind) -> &'static str {
 
 /// Builds the engine for the selected cost model. Gates reuses the
 /// standard tables (`--k`/`--tables`); quantum loads `--tables` (which
-/// must be a quantum-cost store — format v3 round-trips the model) or
+/// must be a quantum-cost store — formats v4 and v5 round-trip the model) or
 /// generates cost-bucketed tables to `--cost-budget` (default 13);
 /// depth generates the layer tables to `--cost-budget` layers (default
 /// 3). Flags meaningless under the selected model are rejected instead

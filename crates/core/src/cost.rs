@@ -14,7 +14,8 @@ use revsynth_bfs::SearchTables;
 /// Which residue buckets a split may still use, given its member bucket
 /// and the query's cost cap: bucket `rb` is allowed iff
 /// `cost[rb] ≥ floor` and `cost[rb] + cost[ib] ≤ cap`, with
-/// `floor = max(1, max_cost − max_gate_cost + 1)`.
+/// `floor = max(1, B − g(B) + 1)`, where `B` is the tables' max cost and
+/// `g(B)` the costliest library gate of cost ≤ `B`.
 pub(crate) struct ResidueRule<'a> {
     costs: &'a [u64],
     floor: u64,
@@ -23,10 +24,11 @@ pub(crate) struct ResidueRule<'a> {
 impl<'a> ResidueRule<'a> {
     /// Reads the rule off the tables.
     pub(crate) fn new(tables: &'a SearchTables) -> Self {
+        let b = tables.max_cost();
         ResidueRule {
             costs: tables.bucket_costs(),
-            floor: (tables.max_cost() + 1)
-                .saturating_sub(tables.max_gate_cost())
+            floor: (b + 1)
+                .saturating_sub(tables.max_gate_cost_within(b))
                 .max(1),
         }
     }
@@ -115,6 +117,13 @@ mod tests {
         assert_eq!(rule.mask(1, 9), 0b1111_1000);
         assert_eq!(rule.mask(5, 9), 0b0001_1000);
         assert_eq!(rule.mask(7, 9), 0, "no residue of cost ≥ 3 fits");
+        // On 4 wires TOF4 costs 13, more than budget 7: no split of the
+        // scan can contain it, so the floor is still 7 − 5 + 1 = 3.
+        let quantum4 = SearchTables::generate_weighted(GateLib::nct(4), CostModel::quantum(), 7);
+        assert_eq!(quantum4.cost_reach(), 10);
+        let rule = ResidueRule::new(&quantum4);
+        assert_eq!(rule.floor, 3);
+        assert_eq!(rule.mask(1, 10), 0b1111_1000);
     }
 
     #[test]

@@ -48,8 +48,11 @@
 //!
 //! ```text
 //! mask(ib) = { rb : cost[rb] ≥ floor, cost[rb] + cost[ib] ≤ cap }
-//! floor    = max(1, B − max_gate_cost + 1)
+//! floor    = max(1, B − g(B) + 1)
 //! ```
+//!
+//! where `g(B)` is the costliest library gate of cost ≤ `B`
+//! ([`SearchTables::max_gate_cost_within`]).
 //!
 //! A probe hit is accepted only if its bucket is in the query's current
 //! mask; then the cap tightens and the mask is recomputed. A query whose
@@ -62,17 +65,24 @@
 //! * on cost-bucketed tables, branch-and-bound: the answer is the first
 //!   candidate in scan order that achieves the minimal total.
 //!
-//! **The floor is sound and changes no answer.** Take an optimal circuit
-//! of cost `c > B` (cheaper functions take the fast path). Its longest
-//! prefix of cost ≤ `B` is a stored residue, and the next gate pushes
-//! past `B`, so that residue costs at least `B − max_gate_cost + 1` — the
+//! **The floor is sound and changes no answer.** Take a split of the
+//! best total `t > B` the scan can find (cheaper functions take the fast
+//! path) and the circuit made of its two stored halves. The longest
+//! prefix of that circuit of cost ≤ `B` and the rest of it form another
+//! split of total ≤ `t`, so of total exactly `t`, whose member is no
+//! costlier than the first split's. The gate after the prefix lies in
+//! that member, which costs ≤ `B`, so the gate costs at most `g(B)`, and
+//! the prefix pushed past `B` by it costs at least `B − g(B) + 1` — the
 //! maximal-prefix argument behind [`SearchTables::cost_reach`]. Buckets
-//! run in ascending member cost, so the first split that reaches the
-//! optimum has the smallest member, hence the largest residue, which is
-//! at least the floor. The floor therefore never removes the answer; it
-//! only skips dead residues wherever it exceeds 1. Minimality follows
-//! from the same argument: a function of optimal cost ≤ `cost_reach`
-//! has a split into two stored halves, so its optimum is enumerated.
+//! run in ascending member cost, so the first split that reaches the best
+//! total has the smallest member, hence the largest residue, which is at
+//! least the floor. This holds for every limit, beyond the reach too. The
+//! floor therefore never removes the answer; it only skips dead residues
+//! wherever it exceeds 1 (on 4 wires under the quantum model TOF4 costs
+//! 13, so a budget below 13 still gets a floor above 1). Minimality
+//! follows from the same argument: a function of optimal cost
+//! ≤ `cost_reach` has a split into two stored halves, so its optimum is
+//! enumerated.
 //!
 //! # The invariant gate
 //!

@@ -79,8 +79,9 @@ impl Synthesizer {
 
     /// The deepest cost searchable with these tables: the guaranteed
     /// meet-in-the-middle reach [`SearchTables::cost_reach`], which is
-    /// `2k` on gate-count tables and `2·max_cost − max_gate_cost + 1` on
-    /// cost-bucketed ones.
+    /// `2k` on gate-count tables and, on cost-bucketed ones, the largest
+    /// `r ≤ 2B` with `r ≤ 2B − g(r) + 1` (`B` the max cost, `g(r)` the
+    /// costliest library gate of cost ≤ `r`).
     #[must_use]
     pub fn max_size(&self) -> usize {
         self.tables.cost_reach() as usize

@@ -258,9 +258,8 @@ fn quantum_synth() -> &'static Synthesizer {
     })
 }
 
-/// The seeded quantum query set, built like perf_report's quantum rows:
-/// gates are appended until the next one would push the string's cost
-/// past the reach.
+/// The seeded quantum query set: random gates are appended until the
+/// next one would push the string's cost past the reach.
 fn quantum_queries() -> Vec<Perm> {
     let lib = GateLib::nct(4);
     let model = CostModel::quantum();

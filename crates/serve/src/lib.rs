@@ -29,7 +29,7 @@
 //!   core feeds its own miss lane with cross-core stealing only on
 //!   imbalance.
 //! * [`loadgen`] — a deterministic closed-loop load generator used by
-//!   the CLI, CI smoke test and `bench_serve` harness.
+//!   the CLI `loadgen` command and the CI serve jobs.
 //! * **Overload control** — the miss queue is bounded per cost model
 //!   and saturation is shed with typed `Overloaded` frames (retry
 //!   hint included) while cache hits keep being served; requests may

@@ -192,8 +192,8 @@ pub struct ServeConfig {
     /// Master switch for per-request observability: trace spans, the
     /// per-stage latency histograms, engine profiling counters and the
     /// trace rings. On by default; turning it off removes every
-    /// per-request `Instant` read and ring write from the hot path (the
-    /// `bench_serve` `obs_overhead` phase measures the difference). The
+    /// per-request `Instant` read and ring write from the hot path
+    /// (perfbench's `obs.overhead_pct` measures the difference). The
     /// metrics endpoint itself keeps working either way — the
     /// [`ServeStats`] view is maintained regardless.
     pub instrumentation: bool,

@@ -12,7 +12,7 @@
 //! All randomness is seeded and reproducible. The paper used a Mersenne
 //! twister; any high-quality uniform generator is statistically equivalent
 //! for these experiments, and this crate uses the self-contained
-//! [`rng::SplitMix64`] (documented substitution, DESIGN.md §5).
+//! [`rng::SplitMix64`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

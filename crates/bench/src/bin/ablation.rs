@@ -1,5 +1,4 @@
-//! Ablation studies for the design choices called out in DESIGN.md and
-//! the paper's §5 variations.
+//! Ablation studies for the paper's §5 variations.
 //!
 //! ```text
 //! cargo run --release -p revsynth-bench --bin ablation -- [--k 5]

@@ -12,16 +12,14 @@
 //! Emits `BENCH_tables.json` (override with `--out`) including the
 //! store's FNV-1a file digest — the committed baseline the `tables-deep`
 //! CI job pins its generate / kill / resume runs against. The digest is
-//! machine-independent and identical for every `--threads`/`--shards`/
-//! `--max-mem` setting (see the `revsynth_bfs::shard` docs).
+//! machine-independent and identical for every `--threads` setting.
 //!
 //! Flags: `--n` (default 4), `--k` (default 7, the 1-CPU-feasible CI
-//! depth; `--quick` drops it to 5), `--threads`, `--shards`,
-//! `--max-mem <BYTES>`, `--store <FILE>` (keep the generated store
-//! instead of a scratch file), `--out <FILE>`, `--skip-single-shot`
-//! (drop the duplicate one-index-build generation — the level-by-level
-//! counts are still asserted; use this for k ≥ 8 where a second full
-//! build would double a multi-hour run).
+//! depth; `--quick` drops it to 5), `--threads`, `--store <FILE>` (keep
+//! the generated store instead of a scratch file), `--out <FILE>`,
+//! `--skip-single-shot` (drop the duplicate one-index-build generation —
+//! the level-by-level counts are still asserted; use this for k ≥ 8
+//! where a second full build would double a multi-hour run).
 //!
 //! Besides the v4 checkpoint store the run also writes the same tables
 //! in store format v5 (zero-copy mmap layout) and times a cold
@@ -62,15 +60,10 @@ fn main() {
     let n: usize = arg_or("--n", 4);
     let k: u64 = arg_or("--k", if quick { 5 } else { 7 });
     let threads: usize = arg_or("--threads", 1);
-    let shards: usize = arg_or("--shards", 8);
-    let max_mem: usize = arg_or("--max-mem", 0);
     let out_path: String = arg_or("--out", "BENCH_tables.json".to_owned());
     let store_path: String = arg_or("--store", String::new());
 
-    let opts = GenOptions::new()
-        .threads(threads)
-        .shards(shards)
-        .max_mem_bytes((max_mem > 0).then_some(max_mem));
+    let opts = GenOptions::new().threads(threads);
 
     eprintln!("[1/4] growing n = {n} tables level by level to k = {k} ...");
     let start_all = Instant::now();
@@ -177,13 +170,7 @@ fn main() {
     json.push_str("{\n");
     json.push_str("  \"bench\": \"tables\",\n");
     json.push_str(&format!(
-        "  \"config\": {{\"n\": {n}, \"k\": {k}, \"threads\": {threads}, \"shards\": {shards}, \
-         \"max_mem\": {}, \"quick\": {quick}}},\n",
-        if max_mem > 0 {
-            max_mem.to_string()
-        } else {
-            "null".to_owned()
-        }
+        "  \"config\": {{\"n\": {n}, \"k\": {k}, \"threads\": {threads}, \"quick\": {quick}}},\n"
     ));
     json.push_str("  \"levels\": [\n");
     for (i, &seconds) in level_seconds.iter().enumerate() {

@@ -7,9 +7,9 @@
 //!
 //! The paper's run: 10,000,000 samples, k = 9, 29 hours, weighted average
 //! 11.94 gates, sizes 5..14 observed. This regenerator runs the identical
-//! experiment with a smaller sample (documented substitution, DESIGN.md
-//! §5); the distribution shape (peak at 12, ~3:1 ratio of 12s to 11s,
-//! rare ≤ 9 and 14) and the weighted average are directly comparable.
+//! experiment with a smaller sample; the distribution shape (peak at 12,
+//! ~3:1 ratio of 12s to 11s, rare ≤ 9 and 14) and the weighted average
+//! are directly comparable.
 
 use revsynth_analysis::sample_distribution;
 use revsynth_bench::{arg_or, env_k, load_or_generate};

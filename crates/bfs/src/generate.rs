@@ -1,8 +1,9 @@
-//! Breadth-first search driver (paper Algorithm 2), built on the sharded
-//! level expander in [`crate::shard`] and extendable level by level —
-//! both in RAM ([`SearchTables::extend_to`]) and streamed to a
-//! checkpointed store so an interrupted generation resumes from its
-//! deepest completed level.
+//! Breadth-first search driver (paper Algorithm 2) for gate-count
+//! tables, built on the shared candidate producer in [`crate::expand`]
+//! and extendable level by level — both in RAM
+//! ([`SearchTables::extend_to`](crate::SearchTables::extend_to)) and
+//! streamed to a checkpointed store so an interrupted generation resumes
+//! from its deepest completed level.
 //!
 //! # Completeness
 //!
@@ -39,84 +40,41 @@
 //!
 //! (gates are involutions, so `h⁻¹ = λ.then(x⁻¹)`).
 
-use std::path::Path;
-
 use revsynth_canon::Symmetries;
-use revsynth_circuit::{CostModel, GateLib};
+use revsynth_circuit::{Gate, GateLib};
 use revsynth_perm::Perm;
 use revsynth_table::FnTable;
 
-use crate::info::IDENTITY_BYTE;
-use crate::shard::{expand_level, GenOptions};
+use crate::expand::for_each_candidate;
 use crate::store::{CheckpointWriter, StoreError};
-use crate::tables::SearchTables;
-
-pub(crate) fn run(lib: GateLib, k: usize) -> SearchTables {
-    run_opts(lib, k, &GenOptions::new())
-}
-
-pub(crate) fn run_opts(lib: GateLib, k: usize, opts: &GenOptions) -> SearchTables {
-    let (sym, mut table, mut levels) = seed(&lib, k);
-    extend_levels(&lib, &sym, &mut table, &mut levels, k, opts, None)
-        .expect("no checkpoint writer: extension performs no I/O");
-    SearchTables::assemble(lib, sym, k, table, levels)
-}
-
-/// Generates from scratch while streaming every completed level to a v4
-/// checkpoint store at `path` (write-level → fsync → update trailer).
-pub(crate) fn run_checkpointed(
-    lib: GateLib,
-    k: usize,
-    opts: &GenOptions,
-    path: &Path,
-) -> Result<SearchTables, StoreError> {
-    let (sym, mut table, mut levels) = seed(&lib, k);
-    let mut ckpt = CheckpointWriter::create(path, &lib, &CostModel::unit(), true)?;
-    ckpt.append_level(0, &levels[0], &table)?;
-    extend_levels(
-        &lib,
-        &sym,
-        &mut table,
-        &mut levels,
-        k,
-        opts,
-        Some(&mut ckpt),
-    )?;
-    Ok(SearchTables::assemble(lib, sym, k, table, levels))
-}
-
-fn seed(lib: &GateLib, k: usize) -> (Symmetries, FnTable, Vec<Vec<Perm>>) {
-    assert!(k <= 16, "k = {k} is far beyond any reachable optimal size");
-    let sym = Symmetries::new(lib.wires());
-    let mut table = FnTable::for_entries(SearchTables::estimated_total(lib, k));
-    table.insert(Perm::identity(), IDENTITY_BYTE);
-    (sym, table, vec![vec![Perm::identity()]])
-}
 
 /// Extends `levels` (currently complete through `levels.len() - 1`) up
-/// to size `k`, appending each completed level to the checkpoint store
-/// when one is given. This is the one loop behind fresh generation,
-/// in-RAM extension and checkpoint resume; an empty frontier means the
-/// group is exhausted and the remaining levels stay empty (still
-/// recorded, so a resumed store and a single-shot one agree byte for
-/// byte).
+/// to size `k` on `threads` producer threads, appending each completed
+/// level to the checkpoint store when one is given. This is the one
+/// loop behind fresh generation, in-RAM extension and checkpoint resume
+/// of gate-count tables; an empty frontier means the group is exhausted
+/// and the remaining levels stay empty (still recorded, so a resumed
+/// store and a single-shot one agree byte for byte).
 pub(crate) fn extend_levels(
     lib: &GateLib,
     sym: &Symmetries,
     table: &mut FnTable,
     levels: &mut Vec<Vec<Perm>>,
     k: usize,
-    opts: &GenOptions,
+    threads: usize,
     mut ckpt: Option<&mut CheckpointWriter>,
 ) -> Result<(), StoreError> {
     assert!(k <= 16, "k = {k} is far beyond any reachable optimal size");
+    let gates: Vec<(Gate, Perm)> = lib.iter().map(|(_, gate, perm)| (gate, perm)).collect();
     for i in levels.len()..=k {
+        let mut level = Vec::new();
         let frontier = &levels[i - 1];
-        let level = if frontier.is_empty() {
-            Vec::new()
-        } else {
-            expand_level(lib, sym, table, frontier, opts)
-        };
+        for_each_candidate(&gates, sym, table, frontier, threads, |table, rep, byte| {
+            if table.insert_if_absent(rep, byte) {
+                level.push(rep);
+            }
+        });
+        level.sort_unstable();
         if let Some(w) = ckpt.as_deref_mut() {
             w.append_level(i as u64, &level, table)?;
         }
@@ -129,7 +87,8 @@ pub(crate) fn extend_levels(
 mod tests {
     use super::*;
     use crate::info::StoredGate;
-    use crate::tables::N4_REDUCED_COUNTS;
+    use crate::tables::{SearchTables, N4_REDUCED_COUNTS};
+    use crate::GenOptions;
 
     #[test]
     fn level0_is_identity_only() {

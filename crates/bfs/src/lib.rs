@@ -23,7 +23,8 @@
 //! The paper ran this to k = 9 in ~3 hours on a 16-core, 64 GB machine;
 //! the defaults here (k = 6 for tests, k = 7 for experiments) run in
 //! seconds to a couple of minutes on one laptop core, and the same code
-//! scales to k = 8–9 given the paper's hardware (see DESIGN.md §5).
+//! scales to k = 8–9 given the paper's hardware (see the README's "Deep
+//! tables: checkpointing & resume").
 //!
 //! # Example
 //!
@@ -40,17 +41,16 @@
 #![warn(missing_docs)]
 
 mod counts;
+mod expand;
 mod generate;
 mod info;
-mod parallel;
 pub mod reference;
-mod shard;
 mod store;
 mod tables;
 mod weighted;
 
 pub use counts::LevelCount;
+pub use expand::GenOptions;
 pub use info::{decode_stored, encode_stored, CorruptRecord, StoredGate, IDENTITY_BYTE};
-pub use shard::GenOptions;
 pub use store::{file_digest, LevelInfo, StoreError, StoreErrorKind, StoreInfo};
 pub use tables::{Levels, LevelsIter, SearchTables};

@@ -798,18 +798,20 @@ pub(crate) fn load(path: &Path) -> Result<SearchTables, StoreError> {
 /// mapped load defers; for v4 it is the ordinary (always-validating)
 /// load. Backs `tables verify` and the upgrade path.
 pub(crate) fn load_validated(path: &Path) -> Result<SearchTables, StoreError> {
-    let kind_err = |kind: StoreErrorKind| StoreError::new(path, kind);
-    let mut magic = [0u8; 8];
-    {
-        let mut file = File::open(path).map_err(|e| kind_err(e.into()))?;
-        file.read_exact(&mut magic)
-            .map_err(|e| kind_err(e.into()))?;
-    }
-    if &magic == MAGIC_V5 {
+    if is_v5(path)? {
         load_v5(path, true)
     } else {
         load(path)
     }
+}
+
+/// Whether the file at `path` starts with the v5 magic.
+pub(crate) fn is_v5(path: &Path) -> Result<bool, StoreError> {
+    let mut magic = [0u8; 8];
+    File::open(path)
+        .and_then(|mut file| file.read_exact(&mut magic))
+        .map_err(|e| StoreError::new(path, e.into()))?;
+    Ok(&magic == MAGIC_V5)
 }
 
 // ---------------------------------------------------------------------------
@@ -1345,23 +1347,32 @@ fn load_v5_mapped(
 }
 
 /// Upgrades the store at `path` to v5 in place: fully validates and
-/// loads the existing store (any version), writes the canonical v5
-/// bytes to a sibling temporary file, fsyncs, and atomically renames it
-/// over the original. A crash leaves either the old or the new file
-/// intact; open mappings of the old file keep working (the rename
-/// unlinks the name, not the inode).
+/// loads the existing store (any version), then
+/// [replaces](replace_with_v5) it by the canonical v5 bytes.
 pub(crate) fn upgrade(path: &Path) -> Result<(), StoreError> {
-    let tables = load_validated(path)?;
+    replace_with_v5(&load_validated(path)?, path)
+}
+
+/// Writes `tables` as v5 to a sibling temporary file, fsyncs it, and
+/// atomically renames it over `path`. A crash leaves either the old or
+/// the new file intact; open mappings of the old file keep working (the
+/// rename unlinks the name, not the inode).
+pub(crate) fn replace_with_v5(tables: &SearchTables, path: &Path) -> Result<(), StoreError> {
     let mut tmp = path.as_os_str().to_os_string();
     tmp.push(".v5-tmp");
     let tmp = PathBuf::from(tmp);
-    write_v5(&tables, &tmp, true).inspect_err(|_| {
+    write_v5(tables, &tmp, true).inspect_err(|_| {
         std::fs::remove_file(&tmp).ok();
     })?;
     std::fs::rename(&tmp, path).map_err(|e| {
         std::fs::remove_file(&tmp).ok();
         StoreError::new(path, e.into())
-    })
+    })?;
+    // Best-effort directory fsync so the rename itself is durable.
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        File::open(dir).and_then(|d| d.sync_all()).ok();
+    }
+    Ok(())
 }
 
 /// Format-independent FNV-1a digest of the logical table contents:

@@ -10,8 +10,8 @@ use revsynth_perm::Perm;
 use revsynth_table::{FnTable, InvariantIndex, TableStats};
 
 use crate::counts::LevelCount;
-use crate::info::{decode_stored, CorruptRecord, StoredGate};
-use crate::shard::GenOptions;
+use crate::expand::GenOptions;
+use crate::info::{decode_stored, CorruptRecord, StoredGate, IDENTITY_BYTE};
 use crate::store::{CheckpointWriter, StoreError, StoreInfo};
 
 /// Known reduced (per-class) counts for the 4-wire NCT library, paper
@@ -170,10 +170,11 @@ impl fmt::Debug for Levels {
 /// The precomputed optimal-circuit data for all functions of size ≤ k
 /// (paper Algorithm 2's output: hash table `H` and lists `A_i`).
 ///
-/// Build with [`SearchTables::generate`] (serial) or
-/// [`SearchTables::generate_parallel`], persist with
-/// [`save`](SearchTables::save)/[`load`](SearchTables::load) (the paper
-/// computes once and re-loads in later runs).
+/// Build with [`SearchTables::generate`] (or
+/// [`generate_opts`](SearchTables::generate_opts) for several threads,
+/// [`generate_weighted`](SearchTables::generate_weighted) for other cost
+/// models), persist with [`save`](SearchTables::save)/[`load`](SearchTables::load)
+/// (the paper computes once and re-loads in later runs).
 pub struct SearchTables {
     pub(crate) lib: GateLib,
     pub(crate) sym: Symmetries,
@@ -191,45 +192,20 @@ pub struct SearchTables {
     /// `levels[i]`; strictly ascending from 0, equal to `0..=k` for the
     /// breadth-first (gate-count) paths.
     pub(crate) bucket_costs: Vec<u64>,
-    /// The store format version these tables were loaded from (3, 4
-    /// or 5), or `None` when generated in this process. Used to surface
+    /// The store format version these tables were loaded from (4 or
+    /// 5), or `None` when generated in this process. Used to surface
     /// "a faster format exists — run `tables upgrade`" hints.
     pub(crate) source_format: Option<u8>,
 }
 
 impl SearchTables {
-    /// Finalizes a gate-count table build: derives the [`InvariantIndex`]
-    /// from the level lists (every representative's combined class
-    /// invariant, tagged with its optimal size) and stamps the unit cost
-    /// metadata (`bucket_costs[i] = i`). All gate-count construction
-    /// paths — serial BFS, parallel BFS and store loading — go through
-    /// here so the gate index can never be out of sync with the tables.
-    pub(crate) fn assemble(
-        lib: GateLib,
-        sym: Symmetries,
-        k: usize,
-        table: FnTable,
-        levels: Vec<Vec<Perm>>,
-    ) -> Self {
-        let levels = Levels::from_owned(levels);
-        let invariants = crate::weighted::bucket_invariants(&levels);
-        let bucket_costs: Vec<u64> = (0..levels.len() as u64).collect();
-        SearchTables {
-            lib,
-            sym,
-            k,
-            table,
-            levels,
-            invariants,
-            model: CostModel::unit(),
-            bucket_costs,
-            source_format: None,
-        }
-    }
-
-    /// Finalizes a weighted (cost-bucketed) build: same invariant-index
-    /// derivation, but levels are cost buckets labeled by
-    /// `bucket_costs` (strictly ascending from 0, one entry per level).
+    /// Finalizes a build from its level lists: derives the
+    /// [`InvariantIndex`] (every representative's combined class
+    /// invariant, tagged with its bucket index) and labels the levels as
+    /// cost buckets by `bucket_costs` (strictly ascending from 0, one
+    /// entry per level). The seed and the v4 loader go through here, and
+    /// extension rebuilds the index the same way, so the gate index can
+    /// never be out of sync with the tables.
     pub(crate) fn assemble_weighted(
         lib: GateLib,
         sym: Symmetries,
@@ -258,6 +234,37 @@ impl SearchTables {
             source_format: None,
         }
     }
+
+    /// The identity-only tables every constructor extends from (level 0,
+    /// cost 0). Gate-count tables pre-size the hash table for size
+    /// `budget`; cost-bucketed ones start small and grow.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model is unit and `budget > 16`.
+    fn seed(lib: GateLib, model: CostModel, budget: u64) -> Self {
+        let capacity = if model == CostModel::unit() {
+            assert!(
+                budget <= 16,
+                "k = {budget} is far beyond any reachable optimal size"
+            );
+            Self::estimated_total(&lib, budget as usize)
+        } else {
+            1 << 12
+        };
+        let mut table = FnTable::for_entries(capacity);
+        table.insert(Perm::identity(), IDENTITY_BYTE);
+        let sym = Symmetries::new(lib.wires());
+        Self::assemble_weighted(
+            lib,
+            sym,
+            model,
+            table,
+            vec![vec![Perm::identity()]],
+            vec![0],
+        )
+    }
+
     /// Runs the breadth-first search over the full NCT library on `n`
     /// wires, up to size `k`.
     ///
@@ -287,49 +294,42 @@ impl SearchTables {
     /// larger k is certainly a bug).
     #[must_use]
     pub fn generate_with(lib: GateLib, k: usize) -> Self {
-        crate::generate::run(lib, k)
-    }
-
-    /// Parallel variant of [`generate_with`](Self::generate_with) using
-    /// `threads` worker threads (std scoped threads; the result is
-    /// identical up to which of several equally-minimal boundary gates is
-    /// recorded).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0` or `k > 16`.
-    #[must_use]
-    pub fn generate_parallel(lib: GateLib, k: usize, threads: usize) -> Self {
-        crate::parallel::run(lib, k, threads)
+        Self::generate_opts(lib, k, &GenOptions::new())
     }
 
     /// Runs the **weighted** uniform-cost search (paper §5's "increasing
     /// cost by one"), settling every equivalence class of optimal cost
     /// ≤ `budget` under `model` into cost-bucketed levels (see the
-    /// `weighted` module). With [`CostModel::unit`] the buckets coincide
-    /// with the breadth-first levels.
+    /// `weighted` module) on one thread. With [`CostModel::unit`] this is
+    /// the breadth-first search to size `budget`.
     ///
     /// # Panics
     ///
     /// Panics if `budget > 200` or the model produces more than 32
-    /// distinct cost values (the invariant-index mask width).
+    /// distinct cost values (the invariant-index mask width); unit:
+    /// `budget > 16`.
     #[must_use]
     pub fn generate_weighted(lib: GateLib, model: CostModel, budget: u64) -> Self {
-        crate::weighted::run(lib, model, budget)
+        let mut tables = Self::seed(lib, model, budget);
+        tables.extend_to(budget, &GenOptions::new());
+        tables
     }
 
-    /// Gate-count generation with explicit construction knobs
-    /// ([`GenOptions`]: worker threads, candidate shards, memory budget).
-    /// The result is **byte-identical** for every knob setting — the
-    /// sharded expander routes candidates by canonical key, so the
-    /// first-discovered boundary gate wins regardless of spill timing.
+    /// Gate-count generation with explicit construction settings
+    /// ([`GenOptions`]: worker threads). The result is **byte-identical**
+    /// for every setting — the candidate producer keeps the stream order
+    /// for every thread count, so the first-discovered boundary gate
+    /// wins.
     ///
     /// # Panics
     ///
     /// Panics if `k > 16`.
     #[must_use]
     pub fn generate_opts(lib: GateLib, k: usize, opts: &GenOptions) -> Self {
-        crate::generate::run_opts(lib, k, opts)
+        let budget = k as u64;
+        let mut tables = Self::seed(lib, CostModel::unit(), budget);
+        tables.extend_to(budget, opts);
+        tables
     }
 
     /// Generates from scratch while **streaming every completed level**
@@ -338,8 +338,8 @@ impl SearchTables {
     /// next one starts, so an interrupt at any instant leaves a loadable
     /// store missing only the in-flight level. With a unit `model` this
     /// is the breadth-first search to size `budget`; otherwise the
-    /// weighted uniform-cost search to cost `budget` (which is serial —
-    /// the [`GenOptions`] knobs tune only the unit-model expander).
+    /// weighted uniform-cost search to cost `budget`. Both produce
+    /// candidates on [`GenOptions`]' worker threads.
     ///
     /// The finished file is byte-identical to [`save`](Self::save) of
     /// the same tables — and to any interrupted-then-
@@ -361,21 +361,24 @@ impl SearchTables {
         opts: &GenOptions,
         path: P,
     ) -> Result<Self, StoreError> {
-        if model == CostModel::unit() {
-            let k = usize::try_from(budget).expect("unit budget is a level count");
-            crate::generate::run_checkpointed(lib, k, opts, path.as_ref())
-        } else {
-            crate::weighted::run_checkpointed(lib, model, budget, path.as_ref())
-        }
+        let mut tables = Self::seed(lib, model, budget);
+        let mut ckpt = CheckpointWriter::create(path.as_ref(), &tables.lib, &tables.model, true)?;
+        ckpt.append_level(0, tables.level(0), &tables.table)?;
+        tables.extend_impl(budget, opts, Some(&mut ckpt))?;
+        Ok(tables)
     }
 
-    /// Resumes an interrupted (or simply shallower) checkpointed
-    /// generation: loads the v4 store at `path`, drops any torn
-    /// in-flight level, and extends it to `budget` — streaming the new
-    /// levels back into the same file. The result (in RAM and on disk)
-    /// is byte-identical to an uninterrupted
-    /// [`generate_checkpointed`](Self::generate_checkpointed) run with
-    /// the same target.
+    /// Resumes an interrupted (or simply shallower) generation: loads the
+    /// store at `path` and extends it to `budget`. The result (in RAM and
+    /// on disk) is byte-identical to an uninterrupted run with the same
+    /// target, written in the store's own format:
+    ///
+    /// * a v4 store drops any torn in-flight level and streams the new
+    ///   levels back into the same file, exactly like
+    ///   [`generate_checkpointed`](Self::generate_checkpointed);
+    /// * a v5 store is fully validated, extended in RAM and atomically
+    ///   replaced by the v5 store of the extended tables (a crash leaves
+    ///   the old store intact and loses only the new levels).
     ///
     /// Unit-model stores resume the breadth-first search from the
     /// deepest completed level; cost-bucketed stores rebuild the
@@ -384,15 +387,23 @@ impl SearchTables {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError`] if the store is not a loadable v4 store
-    /// (only v4 is extendable in place) or on I/O failure while
-    /// appending.
+    /// Returns [`StoreError`] if the store does not load or on I/O
+    /// failure while writing.
     pub fn resume_checkpointed<P: AsRef<Path>>(
         path: P,
         budget: u64,
         opts: &GenOptions,
     ) -> Result<Self, StoreError> {
-        let (mut tables, mut ckpt) = CheckpointWriter::resume(path.as_ref(), true)?;
+        let path = path.as_ref();
+        if crate::store::is_v5(path)? {
+            let mut tables = crate::store::load_validated(path)?;
+            if budget > tables.max_cost() {
+                tables.extend_to(budget, opts);
+                crate::store::replace_with_v5(&tables, path)?;
+            }
+            return Ok(tables);
+        }
+        let (mut tables, mut ckpt) = CheckpointWriter::resume(path, true)?;
         tables.extend_impl(budget, opts, Some(&mut ckpt))?;
         Ok(tables)
     }
@@ -405,9 +416,7 @@ impl SearchTables {
     /// one level at a time costs more index work than one big
     /// extension). The extension replays exactly what single-shot
     /// generation at the larger budget would have done, so the extended
-    /// tables are indistinguishable from freshly generated ones. On
-    /// cost-bucketed tables the [`GenOptions`] knobs are ignored (the
-    /// weighted search is serial).
+    /// tables are indistinguishable from freshly generated ones.
     ///
     /// # Panics
     ///
@@ -418,8 +427,9 @@ impl SearchTables {
             .expect("in-RAM extension performs no I/O");
     }
 
-    /// The shared extension core behind [`extend_to`](Self::extend_to)
-    /// and [`resume_checkpointed`](Self::resume_checkpointed).
+    /// The one extension core behind every constructor,
+    /// [`extend_to`](Self::extend_to) and
+    /// [`resume_checkpointed`](Self::resume_checkpointed).
     fn extend_impl(
         &mut self,
         budget: u64,
@@ -429,6 +439,7 @@ impl SearchTables {
         if budget <= self.max_cost() {
             return Ok(());
         }
+        let threads = opts.effective_threads();
         if self.model == CostModel::unit() {
             let k = usize::try_from(budget).expect("unit budget is a level count");
             crate::generate::extend_levels(
@@ -437,7 +448,7 @@ impl SearchTables {
                 &mut self.table,
                 self.levels.make_owned(),
                 k,
-                opts,
+                threads,
                 ckpt,
             )?;
             self.bucket_costs = (0..self.levels.len() as u64).collect();
@@ -450,6 +461,7 @@ impl SearchTables {
                 self.levels.make_owned(),
                 &mut self.bucket_costs,
                 budget,
+                threads,
                 ckpt,
             )?;
         }

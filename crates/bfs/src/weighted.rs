@@ -1,7 +1,8 @@
 //! Weighted (cost-bucketed) table generation — the paper's §5 sketch,
 //! "search for small circuits via increasing cost by one", run all the
-//! way into the [`SearchTables`] product so the meet-in-the-middle
-//! machinery works over any additive [`CostModel`], not just gate count.
+//! way into the [`SearchTables`](crate::SearchTables) product so the
+//! meet-in-the-middle machinery works over any additive [`CostModel`],
+//! not just gate count.
 //!
 //! # Algorithm
 //!
@@ -13,8 +14,12 @@
 //! cost `cost(f) + cost(λ)`. Classes settle in nondecreasing cost, so
 //! the first settlement is at the optimal cost and the recorded boundary
 //! gate peels toward a *strictly cheaper* function — exactly the witness
-//! mechanics the gate-count peel uses, so [`SearchTables::lookup`] and
-//! the fast-path reconstruction work unchanged.
+//! mechanics the gate-count peel uses, so
+//! [`SearchTables::lookup`](crate::SearchTables::lookup) and the
+//! fast-path reconstruction work unchanged. Each settled bucket is
+//! expanded through the threaded candidate producer the breadth-first
+//! driver uses ([`crate::expand`]), restricted to the gates the budget
+//! can still afford.
 //!
 //! # Restartability
 //!
@@ -26,7 +31,9 @@
 //! candidates that are already settled). [`settle`] therefore serves
 //! three callers with byte-identical results: fresh generation,
 //! budget extension of in-RAM tables, and resuming a checkpointed store
-//! whose generation was interrupted mid-bucket.
+//! whose generation was interrupted mid-bucket. The producer keeps the
+//! candidate stream order for every thread count, so the thread count
+//! never changes the result either.
 //!
 //! # The product
 //!
@@ -45,77 +52,33 @@
 //! 32-bit distance masks, hence the budget assertion below.
 
 use std::collections::BTreeMap;
-use std::path::Path;
 
 use revsynth_canon::Symmetries;
-use revsynth_circuit::{CostModel, GateLib};
+use revsynth_circuit::{CostModel, Gate, GateLib};
 use revsynth_perm::Perm;
 use revsynth_table::{FnTable, InvariantIndex};
 
-use crate::info::{encode_stored, IDENTITY_BYTE};
+use crate::expand::for_each_candidate;
+use crate::info::{decode_stored, StoredGate};
 use crate::store::{CheckpointWriter, StoreError};
-use crate::tables::SearchTables;
 
 /// Hard ceiling on the number of distinct cost values (= buckets): the
 /// invariant index stores per-bucket occurrence masks in a `u32`.
 pub(crate) const MAX_BUCKETS: usize = 32;
 
-pub(crate) fn run(lib: GateLib, model: CostModel, budget: u64) -> SearchTables {
-    let (sym, mut table, mut levels, mut costs) = seed(lib.wires());
-    settle(
-        &lib,
-        &model,
-        &sym,
-        &mut table,
-        &mut levels,
-        &mut costs,
-        budget,
-        None,
-    )
-    .expect("no checkpoint writer: settling performs no I/O");
-    SearchTables::assemble_weighted(lib, sym, model, table, levels, costs)
-}
-
-/// Fresh weighted generation streamed to a v4 checkpoint store: every
-/// settled bucket is written (then fsynced) before the next one starts.
-pub(crate) fn run_checkpointed(
-    lib: GateLib,
-    model: CostModel,
-    budget: u64,
-    path: &Path,
-) -> Result<SearchTables, StoreError> {
-    let (sym, mut table, mut levels, mut costs) = seed(lib.wires());
-    let mut ckpt = CheckpointWriter::create(path, &lib, &model, true)?;
-    ckpt.append_level(0, &levels[0], &table)?;
-    settle(
-        &lib,
-        &model,
-        &sym,
-        &mut table,
-        &mut levels,
-        &mut costs,
-        budget,
-        Some(&mut ckpt),
-    )?;
-    Ok(SearchTables::assemble_weighted(
-        lib, sym, model, table, levels, costs,
-    ))
-}
-
-fn seed(n: usize) -> (Symmetries, FnTable, Vec<Vec<Perm>>, Vec<u64>) {
-    let sym = Symmetries::new(n);
-    let mut table = FnTable::for_entries(1 << 12);
-    table.insert(Perm::identity(), IDENTITY_BYTE);
-    (sym, table, vec![vec![Perm::identity()]], vec![0])
-}
+/// Candidates discovered per tentative cost, as `(representative,
+/// stored-gate byte)` in discovery order; duplicates are filtered at
+/// settlement.
+type Pending = BTreeMap<u64, Vec<(Perm, u8)>>;
 
 /// Runs the uniform-cost search from the settled state in
 /// `levels`/`bucket_costs` (which must describe a complete prefix: every
 /// class of optimal cost ≤ `bucket_costs.last()` settled) until every
-/// class of optimal cost ≤ `budget` is settled. The pending queue is
-/// rebuilt from the settled frontier, so this is equally a fresh run
-/// (state = the identity bucket), an in-RAM budget extension, or a
-/// checkpoint resume — all byte-identical.
+/// class of optimal cost ≤ `budget` is settled, producing candidates on
+/// `threads` threads. The pending queue is rebuilt from the settled
+/// frontier, so this is equally a fresh run (state = the identity
+/// bucket), an in-RAM budget extension, or a checkpoint resume — all
+/// byte-identical, whatever the thread count.
 ///
 /// # Panics
 ///
@@ -130,41 +93,55 @@ pub(crate) fn settle(
     levels: &mut Vec<Vec<Perm>>,
     bucket_costs: &mut Vec<u64>,
     budget: u64,
+    threads: usize,
     mut ckpt: Option<&mut CheckpointWriter>,
 ) -> Result<(), StoreError> {
     assert!(
         budget <= 200,
         "cost budget {budget} looks like a unit mix-up"
     );
-    let gmax = lib
+    let gates: Vec<(Gate, Perm)> = lib.iter().map(|(_, gate, perm)| (gate, perm)).collect();
+    let gmax = gates
         .iter()
-        .map(|(_, gate, _)| model.gate_cost(gate))
+        .map(|&(gate, _)| model.gate_cost(gate))
         .max()
         .expect("library is non-empty");
+    // Expands one settled bucket by the gates it can still afford,
+    // filing each candidate under its tentative cost. The stored byte
+    // holds the gate conjugated into the candidate's frame, and
+    // conjugation keeps the control count the cost depends on.
+    let expand_bucket = |table: &mut FnTable, pending: &mut Pending, bucket: &[Perm], cost: u64| {
+        let affordable: Vec<(Gate, Perm)> = gates
+            .iter()
+            .copied()
+            .filter(|&(gate, _)| cost + model.gate_cost(gate) <= budget)
+            .collect();
+        if affordable.is_empty() {
+            return;
+        }
+        for_each_candidate(&affordable, sym, table, bucket, threads, |_, rep, byte| {
+            let Some(StoredGate::Gate { gate, .. }) = decode_stored(byte) else {
+                unreachable!("expansion records a gate")
+            };
+            pending
+                .entry(cost + model.gate_cost(gate))
+                .or_default()
+                .push((rep, byte));
+        });
+    };
     let settled_max = *bucket_costs.last().expect("bucket 0 always exists");
-    // pending[c] = (representative, stored-gate byte) discovered at
-    // tentative cost c; duplicates are filtered at settlement.
-    let mut pending: BTreeMap<u64, Vec<(Perm, u8)>> = BTreeMap::new();
+    let mut pending = Pending::new();
     // Rebuild the frontier: only settled buckets within one gate cost of
     // the settled maximum can discover anything new (cheaper buckets'
     // expansions all land at tentative cost ≤ settled_max, i.e. on
     // classes that are already settled and filtered out).
-    for (i, level) in levels.iter().enumerate() {
-        let cost = bucket_costs[i];
-        if cost + gmax <= settled_max {
-            continue;
-        }
-        for &rep in level {
-            expand(lib, sym, model, rep, cost, budget, table, &mut pending);
-            let inv = rep.inverse();
-            if inv != rep {
-                expand(lib, sym, model, inv, cost, budget, table, &mut pending);
-            }
+    for (level, &cost) in levels.iter().zip(bucket_costs.iter()) {
+        if cost + gmax > settled_max {
+            expand_bucket(table, &mut pending, level, cost);
         }
     }
 
-    while let Some((&cost, _)) = pending.iter().next() {
-        let batch = pending.remove(&cost).expect("key just observed");
+    while let Some((cost, batch)) = pending.pop_first() {
         let mut newly: Vec<Perm> = Vec::new();
         for (rep, byte) in batch {
             // Settled earlier (at this or a smaller cost) ⇒ skip.
@@ -184,13 +161,7 @@ pub(crate) fn settle(
         // run re-expands stored (sorted) buckets and must push the same
         // pending stream the uninterrupted run pushed.
         newly.sort_unstable();
-        for &rep in &newly {
-            expand(lib, sym, model, rep, cost, budget, table, &mut pending);
-            let inv = rep.inverse();
-            if inv != rep {
-                expand(lib, sym, model, inv, cost, budget, table, &mut pending);
-            }
-        }
+        expand_bucket(table, &mut pending, &newly, cost);
         if let Some(w) = ckpt.as_deref_mut() {
             w.append_level(cost, &newly, table)?;
         }
@@ -198,38 +169,6 @@ pub(crate) fn settle(
         levels.push(newly);
     }
     Ok(())
-}
-
-/// Pushes every one-gate expansion of `f` (settled at `cost`) into the
-/// pending buckets, recording the boundary-gate byte exactly as the
-/// breadth-first expansion does.
-#[allow(clippy::too_many_arguments)]
-fn expand(
-    lib: &GateLib,
-    sym: &Symmetries,
-    model: &CostModel,
-    f: Perm,
-    cost: u64,
-    budget: u64,
-    table: &FnTable,
-    pending: &mut BTreeMap<u64, Vec<(Perm, u8)>>,
-) {
-    for (_, gate, gate_perm) in lib.iter() {
-        let next_cost = cost + model.gate_cost(gate);
-        if next_cost > budget {
-            continue;
-        }
-        let h = f.then(gate_perm);
-        let w = sym.canonicalize(h);
-        if table.contains(w.rep) {
-            continue;
-        }
-        let stored = gate.conjugate_by_wires(w.sigma);
-        pending
-            .entry(next_cost)
-            .or_default()
-            .push((w.rep, encode_stored(stored, w.inverted)));
-    }
 }
 
 /// Builds the bucket-indexed invariant index shared by every
@@ -248,6 +187,7 @@ pub(crate) fn bucket_invariants(levels: &crate::tables::Levels) -> InvariantInde
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SearchTables;
 
     #[test]
     fn unit_weighted_tables_match_the_breadth_first_levels() {

@@ -215,43 +215,47 @@ fn torn_trailer_is_a_typed_error_not_a_panic() {
 
 #[test]
 fn knobs_do_not_change_store_bytes() {
-    // Threads × shards × memory budget must never leak into the store:
-    // the CI digest is pinned against *one* baseline however the
-    // generating machine was configured.
-    let reference = temp_path("knobs-ref");
-    SearchTables::generate_checkpointed(
-        GateLib::nct(3),
-        CostModel::unit(),
-        4,
-        &GenOptions::new().threads(1).shards(1),
-        &reference,
-    )
-    .unwrap();
-    let want = file_digest(&reference).unwrap();
-    std::fs::remove_file(&reference).ok();
-    for (threads, shards, max_mem) in [
-        (2usize, 8usize, None),
-        (3, 2, Some(256)),
-        (1, 16, Some(1 << 20)),
+    // The thread count must never leak into the store, under either
+    // driver: CI pins one digest per store however the generating
+    // machine was configured. A resume on more threads than the
+    // interrupted run used lands on the same bytes too.
+    for (label, model, budget, stop) in [
+        ("unit", CostModel::unit(), 4u64, 2u64),
+        ("quantum", CostModel::quantum(), 7, 4),
     ] {
-        let path = temp_path(&format!("knobs-{threads}-{shards}"));
-        SearchTables::generate_checkpointed(
-            GateLib::nct(3),
-            CostModel::unit(),
-            4,
-            &GenOptions::new()
-                .threads(threads)
-                .shards(shards)
-                .max_mem_bytes(max_mem),
-            &path,
-        )
-        .unwrap();
+        let generate = |threads: usize, budget: u64, name: &str| {
+            let path = temp_path(&format!("knobs-{label}-{name}"));
+            SearchTables::generate_checkpointed(
+                GateLib::nct(3),
+                model,
+                budget,
+                &GenOptions::new().threads(threads),
+                &path,
+            )
+            .unwrap();
+            path
+        };
+        let reference = generate(1, budget, "ref");
+        let want = std::fs::read(&reference).unwrap();
+        let want_digest = file_digest(&reference).unwrap();
+        std::fs::remove_file(&reference).ok();
+        for threads in [2usize, 3] {
+            let path = generate(threads, budget, &format!("t{threads}"));
+            assert_eq!(
+                file_digest(&path).unwrap(),
+                want_digest,
+                "{label} threads={threads}"
+            );
+            std::fs::remove_file(&path).ok();
+        }
+        let partial = generate(1, stop, "partial");
+        SearchTables::resume_checkpointed(&partial, budget, &GenOptions::new().threads(2)).unwrap();
         assert_eq!(
-            file_digest(&path).unwrap(),
+            std::fs::read(&partial).unwrap(),
             want,
-            "threads={threads} shards={shards} max_mem={max_mem:?}"
+            "{label}: 2-thread resume of a 1-thread store"
         );
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&partial).ok();
     }
 }
 

@@ -122,6 +122,27 @@ fn mapped_tables_extend_like_single_shot() {
 }
 
 #[test]
+fn resumed_v5_store_is_the_v5_store_of_the_deeper_tables() {
+    // Resuming a v5 store extends it in RAM and atomically replaces the
+    // file with the canonical v5 store of the deeper tables; a target
+    // the store already covers leaves the file alone.
+    let path = temp_path("resume");
+    let want = temp_path("resume-want");
+    SearchTables::generate(3, 2).save_v5(&path).unwrap();
+    let shallow = std::fs::read(&path).unwrap();
+    SearchTables::resume_checkpointed(&path, 1, &GenOptions::new()).unwrap();
+    assert_eq!(std::fs::read(&path).unwrap(), shallow, "no-op resume");
+    let resumed = SearchTables::resume_checkpointed(&path, 4, &GenOptions::new()).unwrap();
+    let single = SearchTables::generate(3, 4);
+    single.save_v5(&want).unwrap();
+    let (got, want) = (std::fs::read(&path), std::fs::read(&want));
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(temp_path("resume-want")).ok();
+    assert_eq!(got.unwrap(), want.unwrap(), "resumed v5 bytes");
+    assert_tables_identical(&resumed, &single, "resumed v5 tables");
+}
+
+#[test]
 fn torn_tail_is_a_typed_error() {
     // v5 files end exactly where the layout says; appended bytes mean
     // the file is not what the writer produced.

@@ -22,10 +22,9 @@ USAGE:
 
 COMMANDS:
     tables     generate --out <FILE> [--n <N>] [--k <K>] [--model unit|quantum]
-                        [--budget <B>] [--threads <T>] [--shards <S>]
-                        [--max-mem <BYTES>] [--resume] [--format v4|v5]
-               extend   --store <FILE> (--k <K> | --budget <B>)
-                        [--threads <T>] [--shards <S>] [--max-mem <BYTES>]
+                        [--budget <B>] [--threads <T>] [--resume]
+                        [--format v4|v5]
+               extend   --store <FILE> (--k <K> | --budget <B>) [--threads <T>]
                info     --store <FILE> [--json]
                verify   --store <FILE> [--expect-digest <HEX>]
                upgrade  --store <FILE>
@@ -35,13 +34,12 @@ COMMANDS:
                update trailer), so a crash or kill loses only the in-flight
                level; `--resume` (or `extend`) continues from the deepest
                completed level and produces a store byte-identical to an
-               uninterrupted run. --shards partitions the candidate
-               buffers by canonical key and --max-mem (accepts K/M/G
-               suffixes) spills the fullest shard early to bound the
-               per-level working set; neither knob (nor --threads)
-               changes the output bytes. `info` is cheap enough to poll
-               while a generation is writing; `verify` fully validates
-               the store and prints its file and content digests.
+               uninterrupted run, in the store's own format (a v5 store
+               is extended in RAM and atomically replaced). --threads
+               never changes the output bytes, under either model.
+               `info` is cheap enough to poll while a generation is
+               writing; `verify` fully validates the store and prints its
+               file and content digests.
                `upgrade` (or generate --format v5) rewrites a store in
                the v5 layout: page-aligned sections the loader mmaps and
                borrows zero-copy, turning an 8-second k = 7 load into
@@ -369,32 +367,10 @@ fn tables_from(opts: &Opts, default_k: usize) -> Result<SearchTables, Box<dyn Er
     Ok(tables)
 }
 
-/// Parses a byte count with optional K/M/G suffix (binary multiples).
-fn parse_mem(text: &str) -> Result<usize, Box<dyn Error>> {
-    let (digits, mult) = match text.as_bytes().last() {
-        Some(b'K' | b'k') => (&text[..text.len() - 1], 1usize << 10),
-        Some(b'M' | b'm') => (&text[..text.len() - 1], 1 << 20),
-        Some(b'G' | b'g') => (&text[..text.len() - 1], 1 << 30),
-        _ => (text, 1),
-    };
-    let base: usize = digits
-        .parse()
-        .map_err(|_| format!("`{text}` is not a byte count (try 512M, 2G, or plain bytes)"))?;
-    base.checked_mul(mult)
-        .ok_or_else(|| format!("`{text}` overflows a byte count").into())
-}
-
-/// Builds [`revsynth_bfs::GenOptions`] from the shared generation flags
-/// (`--threads`, `--shards`, `--max-mem`).
+/// Builds [`revsynth_bfs::GenOptions`] from the `--threads` flag shared
+/// by `tables generate` and `tables extend`.
 fn gen_options(opts: &Opts) -> Result<revsynth_bfs::GenOptions, Box<dyn Error>> {
-    let mut gen = revsynth_bfs::GenOptions::new().threads(opts.get_parse("threads", 1)?);
-    if let Some(shards) = opts.get("shards") {
-        gen = gen.shards(shards.parse()?);
-    }
-    if let Some(mem) = opts.get("max-mem") {
-        gen = gen.max_mem_bytes(Some(parse_mem(mem)?));
-    }
-    Ok(gen)
+    Ok(revsynth_bfs::GenOptions::new().threads(opts.get_parse("threads", 1)?))
 }
 
 /// Resolves the `--model`/`--k`/`--budget` trio shared by `tables
@@ -455,7 +431,7 @@ fn cmd_tables(args: &[String]) -> CliResult {
 
 fn tables_generate(opts: &Opts) -> CliResult {
     opts.reject_unknown(&[
-        "out", "n", "k", "model", "budget", "threads", "shards", "max-mem", "resume", "format",
+        "out", "n", "k", "model", "budget", "threads", "resume", "format",
     ])?;
     let out = opts
         .get("out")
@@ -468,7 +444,6 @@ fn tables_generate(opts: &Opts) -> CliResult {
     let n: usize = opts.get_parse("n", 4)?;
     let (model, budget) = tables_target(opts)?;
     let gen = gen_options(opts)?;
-    warn_weighted_knobs(opts, model != revsynth_circuit::CostModel::unit());
     let path = PathBuf::from(out);
     let start = Instant::now();
     // --resume: continue the store only when it actually holds completed
@@ -525,9 +500,10 @@ fn tables_generate(opts: &Opts) -> CliResult {
             &path,
         )?
     };
-    if to_v5 {
-        // Generation always checkpoints through v4 (extendable in
-        // place); --format v5 finishes with the atomic upgrade.
+    if to_v5 && tables.source_format() != Some(5) {
+        // Generation checkpoints through v4 (extendable in place);
+        // --format v5 finishes with the atomic upgrade. A resumed v5
+        // store was already rewritten as v5.
         eprintln!("upgrading {} to store format v5 ...", path.display());
         SearchTables::upgrade(&path)?;
     }
@@ -536,35 +512,12 @@ fn tables_generate(opts: &Opts) -> CliResult {
     Ok(())
 }
 
-/// Tells the operator when the expander knobs will be ignored: the
-/// weighted (cost-bucketed) uniform-cost search is serial and
-/// memory-unbounded — `--threads`/`--shards`/`--max-mem` tune only the
-/// unit-model (gate-count) expander.
-fn warn_weighted_knobs(opts: &Opts, weighted: bool) {
-    let any_knob = opts.get("threads").is_some()
-        || opts.get("shards").is_some()
-        || opts.get("max-mem").is_some();
-    if weighted && any_knob {
-        eprintln!(
-            "note: --threads/--shards/--max-mem tune the unit-model expander; \
-             the weighted uniform-cost search is serial and ignores them"
-        );
-    }
-}
-
 fn tables_extend(opts: &Opts) -> CliResult {
-    opts.reject_unknown(&[
-        "store", "k", "budget", "model", "threads", "shards", "max-mem",
-    ])?;
+    // No --model: the store names its own.
+    opts.reject_unknown(&["store", "k", "budget", "threads"])?;
     let store = opts
         .get("store")
         .ok_or("tables extend needs --store <FILE>")?;
-    let mut is_v5 = false;
-    if let Ok(info) = SearchTables::peek(store) {
-        warn_weighted_knobs(opts, info.model != revsynth_circuit::CostModel::unit());
-        is_v5 = info.version >= 5;
-    }
-    // The file knows its model; --k/--budget just names the target cost.
     let budget: u64 = match (opts.get("k"), opts.get("budget")) {
         (Some(k), None) => k.parse()?,
         (None, Some(b)) => b.parse()?,
@@ -572,30 +525,7 @@ fn tables_extend(opts: &Opts) -> CliResult {
     };
     let gen = gen_options(opts)?;
     let start = Instant::now();
-    let tables = if is_v5 {
-        // v5 has no append path: thaw the mapped arrays, extend in RAM,
-        // and atomically replace the file with a fresh canonical v5
-        // store. A kill mid-extension leaves the original untouched
-        // (the new levels are simply lost).
-        let mut tables = SearchTables::load(store)?;
-        tables.extend_to(budget, &gen);
-        let tmp = format!("{store}.extend-tmp");
-        let synced: CliResult = tables
-            .save_v5(&tmp)
-            .map_err(Box::<dyn Error>::from)
-            .and_then(|()| {
-                std::fs::File::open(&tmp)?.sync_data()?;
-                Ok(())
-            });
-        if let Err(e) = synced {
-            std::fs::remove_file(&tmp).ok();
-            return Err(e);
-        }
-        std::fs::rename(&tmp, store)?;
-        tables
-    } else {
-        SearchTables::resume_checkpointed(store, budget, &gen)?
-    };
+    let tables = SearchTables::resume_checkpointed(store, budget, &gen)?;
     print_store_summary(&tables, store, start.elapsed());
     println!("digest   : {:#018x}", revsynth_bfs::file_digest(store)?);
     Ok(())
@@ -2006,18 +1936,7 @@ mod tests {
         let to_args =
             |args: &[&str]| -> Vec<String> { args.iter().map(|s| (*s).to_owned()).collect() };
         assert!(dispatch(&to_args(&[
-            "tables",
-            "generate",
-            "--out",
-            &store_str,
-            "--n",
-            "3",
-            "--k",
-            "2",
-            "--shards",
-            "4",
-            "--max-mem",
-            "1M",
+            "tables", "generate", "--out", &store_str, "--n", "3", "--k", "2",
         ]))
         .is_ok());
         assert!(dispatch(&to_args(&["tables", "info", "--store", &store_str])).is_ok());
@@ -2065,6 +1984,39 @@ mod tests {
             "no-op resume must not rewrite the store"
         );
         std::fs::remove_file(&store).ok();
+    }
+
+    #[test]
+    fn tables_generate_resumes_a_v5_store() {
+        let store = std::env::temp_dir().join(format!(
+            "revsynth-cli-resume-v5-test-{}.rvtab",
+            std::process::id()
+        ));
+        let store_str = store.to_string_lossy().into_owned();
+        let to_args =
+            |args: &[&str]| -> Vec<String> { args.iter().map(|s| (*s).to_owned()).collect() };
+        let generate = |k: &str, extra: &[&str]| {
+            let mut args = to_args(&["tables", "generate", "--out", &store_str, "--n", "3"]);
+            args.extend(to_args(&["--k", k]));
+            args.extend(to_args(extra));
+            dispatch(&args)
+        };
+        generate("2", &["--format", "v5"]).unwrap();
+        generate("3", &["--resume"]).unwrap();
+        generate("4", &["--resume", "--format", "v5"]).unwrap();
+        let want = std::env::temp_dir().join(format!(
+            "revsynth-cli-resume-v5-want-{}.rvtab",
+            std::process::id()
+        ));
+        SearchTables::generate(3, 4).save_v5(&want).unwrap();
+        let (got, want_bytes) = (std::fs::read(&store), std::fs::read(&want));
+        std::fs::remove_file(&store).ok();
+        std::fs::remove_file(&want).ok();
+        assert_eq!(
+            got.unwrap(),
+            want_bytes.unwrap(),
+            "a resumed v5 store stays the canonical v5 store"
+        );
     }
 
     #[test]
@@ -2148,16 +2100,33 @@ mod tests {
             dispatch(&to_args(&["tables", "verify", "--store", "/nonexistent/x"])).is_err(),
             "missing store"
         );
-    }
-
-    #[test]
-    fn mem_suffixes_parse() {
-        assert_eq!(parse_mem("123").unwrap(), 123);
-        assert_eq!(parse_mem("4K").unwrap(), 4096);
-        assert_eq!(parse_mem("2m").unwrap(), 2 << 20);
-        assert_eq!(parse_mem("1G").unwrap(), 1 << 30);
-        assert!(parse_mem("banana").is_err());
-        assert!(parse_mem("999999999999G").is_err(), "overflow");
+        // Flags that do nothing are rejected, not ignored: the store names
+        // its own model, and the expander has no shard knob.
+        let store = std::env::temp_dir().join(format!(
+            "revsynth-cli-flags-test-{}.rvtab",
+            std::process::id()
+        ));
+        let store_str = store.to_string_lossy().into_owned();
+        SearchTables::generate(2, 1).save(&store).unwrap();
+        let before = std::fs::read(&store).unwrap();
+        for (action, flag, value) in [
+            ("extend", "--model", "quantum"),
+            ("extend", "--shards", "4"),
+            ("generate", "--shards", "4"),
+        ] {
+            let path_flag = if action == "extend" {
+                "--store"
+            } else {
+                "--out"
+            };
+            let err = dispatch(&to_args(&[
+                "tables", action, path_flag, &store_str, "--k", "2", flag, value,
+            ]))
+            .expect_err("unknown flag");
+            assert_eq!(err.to_string(), format!("unknown flag {flag}"), "{action}");
+        }
+        assert_eq!(std::fs::read(&store).unwrap(), before, "store untouched");
+        std::fs::remove_file(&store).ok();
     }
 
     #[test]

@@ -60,8 +60,8 @@
 //! # Ok::<(), revsynth::core::SynthesisError>(())
 //! ```
 //!
-//! See `examples/` for end-to-end programs and `DESIGN.md` /
-//! `EXPERIMENTS.md` for the experiment-by-experiment reproduction map.
+//! See `examples/` for end-to-end programs and the README's Quickstart
+//! for the commands that rerun the paper's experiments.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,7 +3,7 @@
 
 use std::sync::OnceLock;
 
-use revsynth::bfs::SearchTables;
+use revsynth::bfs::{GenOptions, SearchTables};
 use revsynth::circuit::GateLib;
 use revsynth::core::Synthesizer;
 
@@ -41,7 +41,12 @@ fn save_load_synthesize_roundtrip() {
 #[test]
 fn parallel_tables_synthesize_identically() {
     let serial = Synthesizer::new(SearchTables::generate(4, 3));
-    let parallel = Synthesizer::new(SearchTables::generate_parallel(GateLib::nct(4), 3, 3));
+    let parallel = Synthesizer::new(SearchTables::generate_opts(
+        GateLib::nct(4),
+        3,
+        &GenOptions::new().threads(3),
+    ));
+    assert_eq!(serial.tables().levels(), parallel.tables().levels());
     let lib = GateLib::nct(4);
     let mut f = revsynth::perm::Perm::identity();
     for i in 0..150usize {

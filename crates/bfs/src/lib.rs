@@ -54,3 +54,25 @@ pub use expand::GenOptions;
 pub use info::{decode_stored, encode_stored, CorruptRecord, StoredGate, IDENTITY_BYTE};
 pub use store::{file_digest, LevelInfo, StoreError, StoreErrorKind, StoreInfo};
 pub use tables::{Levels, LevelsIter, SearchTables};
+
+use revsynth_canon::Symmetries;
+
+/// The symmetries of `n` wires that every table built or loaded here
+/// canonicalizes with. At n = 4 that is the SSSE3 shuffle-table kernel
+/// of [`revsynth_mmap::shuffle`] where the CPU has SSSE3; everywhere
+/// else it is the plain-changes walk. Only the CPU and `n` decide, and
+/// both give the same representatives and witnesses.
+///
+/// # Panics
+///
+/// Panics if `n` is not 2, 3 or 4.
+#[must_use]
+pub fn symmetries(n: usize) -> Symmetries {
+    let sym = Symmetries::new(n);
+    match revsynth_mmap::shuffle::kernel() {
+        // The kernel always computes 48 conjugates; below 4 wires the
+        // walk's 2·(n! − 1) steps (2 or 10) are faster.
+        Some(name) if n == 4 => sym.with_kernel(name, revsynth_mmap::shuffle::first_min_conjugate),
+        _ => sym,
+    }
+}

@@ -78,7 +78,6 @@ use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use revsynth_canon::Symmetries;
 use revsynth_circuit::{CostModel, Gate, GateLib};
 use revsynth_mmap::{ArcSlice, Region};
 use revsynth_perm::Perm;
@@ -382,7 +381,7 @@ fn assemble_loaded(
     }
     Ok(SearchTables::assemble_weighted(
         lib,
-        Symmetries::new(n),
+        crate::symmetries(n),
         model,
         table,
         levels,
@@ -1332,7 +1331,7 @@ fn load_v5_mapped(
     }
 
     let k = bucket_costs.len().saturating_sub(1);
-    let sym = Symmetries::new(lib.wires());
+    let sym = crate::symmetries(lib.wires());
     Ok(SearchTables {
         lib,
         sym,

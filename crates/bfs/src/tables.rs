@@ -254,7 +254,7 @@ impl SearchTables {
         };
         let mut table = FnTable::for_entries(capacity);
         table.insert(Perm::identity(), IDENTITY_BYTE);
-        let sym = Symmetries::new(lib.wires());
+        let sym = crate::symmetries(lib.wires());
         Self::assemble_weighted(
             lib,
             sym,
@@ -749,13 +749,28 @@ impl SearchTables {
     ///
     /// Unlike v4, a v5 file is written in one shot (no mid-generation
     /// checkpointing); checkpointed generation still streams v4 and
-    /// upgrades at the end (see [`upgrade`](Self::upgrade)).
+    /// replaces it at the end (see [`replace_with_v5`](Self::replace_with_v5)).
     ///
     /// # Errors
     ///
     /// Returns [`StoreError`] on I/O failure (with the path attached).
     pub fn save_v5<P: AsRef<Path>>(&self, path: P) -> Result<(), StoreError> {
         crate::store::save_v5(self, path.as_ref())
+    }
+
+    /// Replaces the store at `path` by the v5 store of these tables,
+    /// atomically: the v5 bytes go to a sibling temporary file, which is
+    /// fsynced and renamed over `path` (see [`upgrade`](Self::upgrade)
+    /// for what a crash leaves behind). The bytes equal
+    /// [`save_v5`](Self::save_v5)'s. Checkpointed generation streams v4
+    /// and finishes this way when it wants a v5 store, without reloading
+    /// the file it just wrote.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError`] on I/O failure (with the path attached).
+    pub fn replace_with_v5<P: AsRef<Path>>(&self, path: P) -> Result<(), StoreError> {
+        crate::store::replace_with_v5(self, path.as_ref())
     }
 
     /// Upgrades the store at `path` to format v5 **in place**: fully

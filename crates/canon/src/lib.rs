@@ -11,11 +11,17 @@
 //! per class**, shrinking storage by a factor of almost `2 · 4! = 48`.
 //!
 //! The canonical representative is the class member whose packed word
-//! ([`revsynth_perm::Perm::packed`]) is smallest. It is found exactly as the
-//! paper describes: conjugate `f` and `f⁻¹` through all 24 relabelings by
-//! chaining 46 adjacent-wire transpositions (a plain-changes walk through
-//! the symmetric group), comparing packed words along the way — one
-//! inversion, 46 conjugations and 47 comparisons in total.
+//! ([`revsynth_perm::Perm::packed`]) is smallest. The paper finds it by
+//! conjugating `f` and `f⁻¹` through all 24 relabelings along 46 chained
+//! adjacent-wire transpositions (a plain-changes walk through the
+//! symmetric group), comparing packed words along the way — one
+//! inversion, 46 conjugations and 47 comparisons in total
+//! ([`Symmetries::canonical_walk`]). The same minimum, with the same
+//! witness, also comes from a shuffle-table kernel that computes every
+//! conjugate independently with two byte shuffles ([`ShuffleKernel`]).
+//! That kernel needs SSSE3 and `unsafe`, so it lives in `revsynth-mmap`;
+//! `revsynth_bfs::symmetries` attaches it where the CPU has SSSE3, and
+//! the walk runs everywhere else.
 //!
 //! # Example
 //!
@@ -41,4 +47,4 @@ mod symmetries;
 
 pub use class::ClassStats;
 pub use replay::replay_for_witness;
-pub use symmetries::{Canonicalized, Frames, Symmetries};
+pub use symmetries::{Canonicalized, Frames, ShuffleKernel, Symmetries, SHUFFLE_TABLES};

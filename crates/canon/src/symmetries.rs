@@ -1,4 +1,4 @@
-//! The plain-changes canonicalization walk.
+//! Canonicalization: the shuffle-table kernel and the plain-changes walk.
 
 use std::fmt;
 
@@ -8,9 +8,31 @@ use revsynth_perm::{Perm, WirePerm};
 /// Index into `TRANSPOSITION_MASKS` for the adjacent pair `(w, w+1)`.
 const ADJACENT_MASK_INDEX: [usize; 3] = [0, 3, 5]; // (0,1), (1,2), (2,3)
 
+/// The number of table pairs a [`ShuffleKernel`] reads: `4!`, one per
+/// wire relabeling of a 4-wire function.
+pub const SHUFFLE_TABLES: usize = 24;
+
+/// A shuffle-table canonicalization kernel, attached to a [`Symmetries`]
+/// with [`Symmetries::with_kernel`].
+///
+/// `kernel(f, gather, relabel)` returns the first minimum, with its
+/// index, of the 48 packed words `conj_0(f), …, conj_23(f),
+/// conj_0(f⁻¹), …, conj_23(f⁻¹)`, where nibble `x` of `conj_s(p)` is
+/// `relabel[s][p(gather[s][x])]` — or `None` when the running CPU cannot
+/// execute it. Ties go to the lower index.
+///
+/// Choosing CPU instructions at run time takes `unsafe`, which this
+/// crate forbids. The SSSE3 kernel is
+/// `revsynth_mmap::shuffle::first_min_conjugate`, and
+/// `revsynth_bfs::symmetries` attaches it to the symmetries of every
+/// table that crate builds or loads.
+pub type ShuffleKernel =
+    fn(Perm, &[[u8; 16]; SHUFFLE_TABLES], &[[u8; 16]; SHUFFLE_TABLES]) -> Option<(Perm, usize)>;
+
 /// Precomputed symmetry data for an `n`-wire domain: the transposition walk
-/// that visits all `n!` wire relabelings, and the prefix relabelings needed
-/// to reconstruct witnesses.
+/// that visits all `n!` wire relabelings, the prefix relabelings needed
+/// to reconstruct witnesses, and two 16-byte shuffle tables per
+/// relabeling for a [`ShuffleKernel`].
 ///
 /// Construction is cheap (a tiny backtracking search over at most 24
 /// nodes); build once and share.
@@ -22,6 +44,15 @@ pub struct Symmetries {
     /// `prefixes[i]` = composite relabeling after `i` steps (`prefixes[0]`
     /// is the identity); length `walk.len() + 1 == n!`.
     prefixes: Vec<WirePerm>,
+    /// `gather[i][x] = π_σ⁻¹(x)` for `σ = prefixes[i]`: the position
+    /// table of the shuffle kernel. Past `n!` entries, copies of the
+    /// identity's table pad it to the kernel's fixed 24.
+    gather: [[u8; 16]; SHUFFLE_TABLES],
+    /// `relabel[i][y] = π_σ(y)` for `σ = prefixes[i]`: its value table,
+    /// padded the same way.
+    relabel: [[u8; 16]; SHUFFLE_TABLES],
+    /// The attached shuffle kernel and its name; `None` runs the walk.
+    kernel: Option<(&'static str, ShuffleKernel)>,
 }
 
 /// The result of [`Symmetries::canonicalize`]: the canonical representative
@@ -40,7 +71,9 @@ pub struct Canonicalized {
 }
 
 impl Symmetries {
-    /// Builds the symmetry context for `n` wires.
+    /// Builds the symmetry context for `n` wires. It canonicalizes by the
+    /// plain-changes walk until a kernel is attached
+    /// ([`with_kernel`](Self::with_kernel)).
     ///
     /// # Panics
     ///
@@ -53,7 +86,45 @@ impl Symmetries {
             .iter()
             .map(|&w| ADJACENT_MASK_INDEX[usize::from(w)])
             .collect();
-        Symmetries { n, walk, prefixes }
+        // The padding repeats relabeling 0 (the identity); a repeat never
+        // beats the first occurrence, so the kernel never returns it.
+        let tables = |map: fn(WirePerm) -> WirePerm| {
+            std::array::from_fn(|i| {
+                let sigma = map(prefixes.get(i).copied().unwrap_or(prefixes[0]));
+                std::array::from_fn(|x| sigma.permute_index(x as u8))
+            })
+        };
+        let gather = tables(WirePerm::inverse);
+        let relabel = tables(|sigma| sigma);
+        Symmetries {
+            n,
+            walk,
+            prefixes,
+            gather,
+            relabel,
+            kernel: None,
+        }
+    }
+
+    /// These symmetries with `kernel` computing
+    /// [`canonical`](Self::canonical) and
+    /// [`canonicalize`](Self::canonicalize); `name` is what
+    /// [`kernel`](Self::kernel) reports. Wherever `kernel` returns `None`
+    /// the walk runs instead. The results do not change: an attached
+    /// kernel must return the walk's representative and witness (see
+    /// [`ShuffleKernel`]).
+    #[must_use]
+    pub fn with_kernel(mut self, name: &'static str, kernel: ShuffleKernel) -> Self {
+        self.kernel = Some((name, kernel));
+        self
+    }
+
+    /// The name of the attached canonicalization kernel (`"ssse3"` for
+    /// the one `revsynth_bfs::symmetries` attaches), or `"scalar"` for
+    /// the plain-changes walk.
+    #[must_use]
+    pub fn kernel(&self) -> &'static str {
+        self.kernel.map_or("scalar", |(name, _)| name)
     }
 
     /// The wire count.
@@ -81,12 +152,61 @@ impl Symmetries {
     /// packed-word-minimal function among the `≤ 2·n!` conjugates of `f`
     /// and `f⁻¹`.
     ///
-    /// This is the hot kernel of the whole pipeline (the paper counts ~750
-    /// machine instructions: one inversion, 46 conjugations-by-transposition
-    /// and 47 word comparisons for n = 4).
+    /// This is the hot kernel of the whole pipeline. The paper computes
+    /// it as one inversion, 46 conjugations-by-transposition and 47 word
+    /// comparisons for n = 4 (~750 machine instructions), a chain of
+    /// dependent steps ([`canonical_walk`](Self::canonical_walk)). With
+    /// a shuffle kernel attached ([`with_kernel`](Self::with_kernel);
+    /// the SSSE3 one where the CPU has it), each of the 48 conjugates is
+    /// instead computed on its own from two 16-byte tables (a position
+    /// gather and a value relabel, one `pshufb` each) and the words are
+    /// min-reduced; the result is the walk's, bit for bit.
     #[inline]
     #[must_use]
     pub fn canonical(&self, f: Perm) -> Perm {
+        match self.shuffle(f) {
+            Some((rep, _)) => rep,
+            None => self.canonical_walk(f),
+        }
+    }
+
+    /// The attached kernel's first minimum and its index, if it ran.
+    #[inline]
+    fn shuffle(&self, f: Perm) -> Option<(Perm, usize)> {
+        let (_, kernel) = self.kernel?;
+        kernel(f, &self.gather, &self.relabel)
+    }
+
+    /// Like [`canonical`](Self::canonical) but also returns the witness
+    /// (which relabeling, and whether inversion was used) needed to map
+    /// gates between `f`'s frame and the representative's frame.
+    ///
+    /// The witness is the **first** minimum in walk order — the conjugates
+    /// of `f` in [`relabelings`](Self::relabelings) order, then those of
+    /// `f⁻¹` — on every kernel, so replayed circuits do not depend on the
+    /// CPU.
+    #[must_use]
+    pub fn canonicalize(&self, f: Perm) -> Canonicalized {
+        match self.shuffle(f) {
+            Some((rep, at)) => {
+                let inverted = at >= SHUFFLE_TABLES;
+                let step = if inverted { at - SHUFFLE_TABLES } else { at };
+                Canonicalized {
+                    rep,
+                    inverted,
+                    sigma: self.prefixes[step],
+                }
+            }
+            None => self.canonicalize_walk(f),
+        }
+    }
+
+    /// [`canonical`](Self::canonical) by the paper's plain-changes walk:
+    /// `2·(n! − 1)` chained transposition steps, each one 14-instruction
+    /// [`Perm::conjugate_swap_indexed`]. The fallback where no shuffle
+    /// kernel runs, and the reference kernels are tested against.
+    #[must_use]
+    pub fn canonical_walk(&self, f: Perm) -> Perm {
         let mut best = f;
         let mut cur = f;
         for &idx in &self.walk {
@@ -109,11 +229,10 @@ impl Symmetries {
         best
     }
 
-    /// Like [`canonical`](Self::canonical) but also returns the witness
-    /// (which relabeling, and whether inversion was used) needed to map
-    /// gates between `f`'s frame and the representative's frame.
+    /// [`canonicalize`](Self::canonicalize) by the plain-changes walk
+    /// (see [`canonical_walk`](Self::canonical_walk)).
     #[must_use]
-    pub fn canonicalize(&self, f: Perm) -> Canonicalized {
+    pub fn canonicalize_walk(&self, f: Perm) -> Canonicalized {
         let mut best = f;
         let mut best_step = 0usize;
         let mut best_inverted = false;
@@ -158,10 +277,10 @@ impl Symmetries {
     /// every relabeling to `f` and `f⁻¹` from scratch via
     /// [`Perm::conjugate_by_wires`] and take the minimum.
     ///
-    /// Exists to validate (tests) and quantify (the `ablation` Criterion
-    /// bench) the paper's incremental plain-changes walk, which replaces
-    /// each full conjugation with a single 14-instruction transposition
-    /// step.
+    /// Exists to validate, in tests, both fast kernels: the paper's
+    /// incremental plain-changes walk, which replaces each full
+    /// conjugation with a single 14-instruction transposition step, and
+    /// the shuffle-table kernel.
     #[must_use]
     pub fn canonical_naive(&self, f: Perm) -> Perm {
         let inv = f.inverse();

@@ -484,12 +484,17 @@ fn tables_generate(opts: &Opts) -> CliResult {
     } else {
         false
     };
+    let kernel = revsynth_bfs::symmetries(n).kernel();
     let tables = if resumable {
-        eprintln!("resuming {} toward cost {budget} ...", path.display());
+        eprintln!(
+            "resuming {} toward cost {budget} (kernel: {kernel}) ...",
+            path.display()
+        );
         SearchTables::resume_checkpointed(&path, budget, &gen)?
     } else {
         eprintln!(
-            "generating checkpointed tables (n = {n}, model {:?}, cost ≤ {budget}) ...",
+            "generating checkpointed tables (n = {n}, model {:?}, cost ≤ {budget}, \
+             kernel: {kernel}) ...",
             model
         );
         SearchTables::generate_checkpointed(
@@ -502,10 +507,11 @@ fn tables_generate(opts: &Opts) -> CliResult {
     };
     if to_v5 && tables.source_format() != Some(5) {
         // Generation checkpoints through v4 (extendable in place);
-        // --format v5 finishes with the atomic upgrade. A resumed v5
-        // store was already rewritten as v5.
-        eprintln!("upgrading {} to store format v5 ...", path.display());
-        SearchTables::upgrade(&path)?;
+        // --format v5 finishes by atomically replacing that file with the
+        // v5 store of the tables still in RAM. A resumed v5 store was
+        // already rewritten as v5.
+        eprintln!("writing {} as store format v5 ...", path.display());
+        tables.replace_with_v5(&path)?;
     }
     print_store_summary(&tables, out, start.elapsed());
     println!("digest   : {:#018x}", revsynth_bfs::file_digest(&path)?);
@@ -1112,6 +1118,7 @@ fn cmd_serve(opts: &Opts) -> CliResult {
     let synth = Synthesizer::new(tables_from(opts, 4)?);
     let wires = synth.wires();
     let max_size = synth.max_size();
+    let kernel = synth.tables().sym().kernel();
     let suite = std::sync::Arc::new(SynthesisSuite::new(synth, suite_config));
     let server = revsynth_serve::Server::bind(suite, &config)?;
     if let Some(path) = config.snapshot.as_deref() {
@@ -1156,13 +1163,14 @@ fn cmd_serve(opts: &Opts) -> CliResult {
     println!(
         "serving n = {wires} functions up to {max_size} gates \
          ({} event-loop core{}, {} scheduler workers, {}-class cache; \
-         quantum/depth engines lazy at budgets {}/{})",
+         quantum/depth engines lazy at budgets {}/{}; kernel: {})",
         config.cores,
         if config.cores == 1 { "" } else { "s" },
         config.workers,
         config.cache_capacity,
         suite_config.quantum_budget,
-        suite_config.depth_budget
+        suite_config.depth_budget,
+        kernel
     );
     let stats = server.run()?;
     println!("final stats: {}", stats.to_json());
@@ -2001,17 +2009,33 @@ mod tests {
             args.extend(to_args(extra));
             dispatch(&args)
         };
-        generate("2", &["--format", "v5"]).unwrap();
-        generate("3", &["--resume"]).unwrap();
-        generate("4", &["--resume", "--format", "v5"]).unwrap();
         let want = std::env::temp_dir().join(format!(
             "revsynth-cli-resume-v5-want-{}.rvtab",
             std::process::id()
         ));
-        SearchTables::generate(3, 4).save_v5(&want).unwrap();
-        let (got, want_bytes) = (std::fs::read(&store), std::fs::read(&want));
+        let v5_of = |k| {
+            SearchTables::generate(3, k).save_v5(&want).unwrap();
+            std::fs::read(&want)
+        };
+        // A fresh --format v5 store is written from the tables in RAM over
+        // the v4 checkpoint: the same bytes as `save_v5`, and the
+        // temporary file is renamed away.
+        generate("2", &["--format", "v5"]).unwrap();
+        let mut tmp = store.clone().into_os_string();
+        tmp.push(".v5-tmp");
+        let (fresh, fresh_want) = (std::fs::read(&store), v5_of(2));
+        let tmp_left = std::path::Path::new(&tmp).exists();
+        generate("3", &["--resume"]).unwrap();
+        generate("4", &["--resume", "--format", "v5"]).unwrap();
+        let (got, want_bytes) = (std::fs::read(&store), v5_of(4));
         std::fs::remove_file(&store).ok();
         std::fs::remove_file(&want).ok();
+        assert_eq!(
+            fresh.unwrap(),
+            fresh_want.unwrap(),
+            "a fresh v5 store is the canonical v5 store"
+        );
+        assert!(!tmp_left, "the temporary v5 file was renamed away");
         assert_eq!(
             got.unwrap(),
             want_bytes.unwrap(),

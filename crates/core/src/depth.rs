@@ -69,7 +69,7 @@ impl DepthSynthesizer {
             "max_depth {max_depth} is beyond any reachable depth"
         );
         let n = lib.wires();
-        let sym = Symmetries::new(n);
+        let sym = revsynth_bfs::symmetries(n);
         let layers = all_layers(&lib);
         let layer_index: HashMap<Layer, u16> = layers
             .iter()

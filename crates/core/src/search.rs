@@ -101,7 +101,7 @@
 //! * A candidate can only be accepted if its canonical form lies in an
 //!   allowed residue bucket, so the engine asks "does any stored function
 //!   in a bucket of the mask share this invariant?" and skips the
-//!   ~750-instruction canonicalization plus probe when the answer is no.
+//!   canonicalization plus probe when the answer is no.
 //!   On gate-count tables the mask is `{k}`: the sharpest sound question.
 //!
 //! Because the gate only ever skips candidates that could not be
@@ -632,23 +632,28 @@ impl Synthesizer {
     ) -> Vec<Result<Synthesis, SynthesisError>> {
         let model = self.tables().model();
         let stored = |f| {
-            let peeled = self
-                .peel(f)
-                .map_err(|detail| SynthesisError::CorruptTables {
-                    function: f,
-                    detail,
-                })?;
-            Ok(peeled.map(|circuit| {
-                let cost = circuit.cost(model);
-                let synthesis = Synthesis {
-                    cost,
-                    circuit,
-                    lists_scanned: 0,
-                    candidates_tested: 0,
-                    stats: SearchStats::default(),
-                };
-                (cost, synthesis)
-            }))
+            let corrupt = |detail| SynthesisError::CorruptTables {
+                function: f,
+                detail,
+            };
+            let Some(circuit) = self.peel(f).map_err(corrupt)? else {
+                return Ok(None);
+            };
+            // Peeling certified that the circuit computes f; a damaged
+            // record can still make it longer than optimal, so its cost
+            // must also be the cost of f's class.
+            let cost = circuit.cost(model);
+            if self.tables().cost_of(f) != Some(cost) {
+                return Err(corrupt("a peeled circuit does not have its class's cost"));
+            }
+            let synthesis = Synthesis {
+                cost,
+                circuit,
+                lists_scanned: 0,
+                candidates_tested: 0,
+                stats: SearchStats::default(),
+            };
+            Ok(Some((cost, synthesis)))
         };
         let found = |f, hit: &Hit, stats| self.resolve_hit(f, hit, stats);
         self.search_batch(fs, opts, stored, found).0

@@ -4,13 +4,15 @@
 //! so a flipped byte in the hash table's value section (the one-byte
 //! boundary-gate records) reaches the engine unverified. Every query on
 //! such a store must end in an answer that certifies itself (its circuit
-//! computes the query) or in [`SynthesisError::CorruptTables`] — never a
-//! panic and never any other error.
+//! computes the query with the class's optimal cost) or in
+//! [`SynthesisError::CorruptTables`] — never a panic and never any other
+//! error.
 
 use std::ops::Range;
 use std::path::PathBuf;
 
-use revsynth_bfs::SearchTables;
+use revsynth_bfs::{encode_stored, SearchTables};
+use revsynth_circuit::GateLib;
 use revsynth_core::{SearchOptions, SynthesisError, Synthesizer};
 use revsynth_perm::Perm;
 
@@ -99,4 +101,68 @@ fn flipped_gate_records_give_certified_answers_or_typed_errors() {
     std::fs::remove_file(&path).ok();
     assert!(copies > 200, "only {copies} copies");
     assert!(damaged > 0, "no flip reached a queried record");
+}
+
+#[test]
+fn a_record_that_peels_a_longer_circuit_is_corrupt() {
+    // Rewrite the record of a class C of size L to name another gate λ
+    // as the last gate of its representative r, where r followed by λ
+    // has size L + 1 and an optimal circuit none of whose runs of
+    // consecutive gates lies in C. Peeling a member of C takes λ off and
+    // goes on through L + 1 true records, never back into C: it ends in
+    // a circuit of L + 2 gates that does compute the query, and only its
+    // size against the class's level shows the damage.
+    let path = temp_path("longer");
+    SearchTables::generate(4, 4).save_v5(&path).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    let section = fn_values_section(&bytes);
+    let clean = Synthesizer::new(SearchTables::load(&path).unwrap());
+    let (tables, sym) = (clean.tables(), clean.tables().sym());
+    let lib = GateLib::nct(4);
+    let leads_away = |rep: Perm, level: usize, lambda: Perm| {
+        let next = rep.then(lambda);
+        if tables.size_of(next) != Some(level + 1) {
+            return false;
+        }
+        let gates = clean.synthesize(next).unwrap();
+        let gates = gates.gates();
+        (0..gates.len()).all(|i| {
+            (i + 1..=gates.len()).all(|j| {
+                let run = gates[i..j]
+                    .iter()
+                    .fold(Perm::identity(), |p, g| p.then(g.perm(4)));
+                sym.canonical(run) != rep
+            })
+        })
+    };
+    let (rep, gate) = (1..=2)
+        .flat_map(|level| tables.level(level).iter().map(move |&rep| (level, rep)))
+        .flat_map(|(level, rep)| lib.iter().map(move |(_, gate, p)| (level, rep, gate, p)))
+        .find(|&(level, rep, _, p)| leads_away(rep, level, p))
+        .map(|(_, rep, gate, _)| (rep, gate))
+        .expect("a class and a gate that leads away from it");
+    let members = sym.class_members(rep);
+    let slot = tables
+        .table()
+        .slot_arrays()
+        .0
+        .iter()
+        .position(|&key| key == rep.packed())
+        .expect("the representative has a slot");
+    drop(clean);
+    bytes[section.start + slot] = encode_stored(gate, false);
+    std::fs::write(&path, &bytes).unwrap();
+
+    let synth = Synthesizer::new(SearchTables::load(&path).unwrap());
+    std::fs::remove_file(&path).ok();
+    let answers = synth.synthesize_many(&members, &SearchOptions::new().threads(1));
+    for (&f, answer) in members.iter().zip(answers) {
+        match answer {
+            Err(SynthesisError::CorruptTables { function, detail }) => {
+                assert_eq!(function, f);
+                assert_eq!(detail, "a peeled circuit does not have its class's cost");
+            }
+            other => panic!("{f}: expected CorruptTables, got {other:?}"),
+        }
+    }
 }

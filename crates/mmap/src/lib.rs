@@ -11,8 +11,10 @@
 //! # Safety argument (scoped to this crate)
 //!
 //! This is the only crate in the workspace that contains `unsafe` code
-//! (`revsynth-perm`, `revsynth-table` and `revsynth-bfs` all
-//! `#![forbid(unsafe_code)]`). The argument for each use:
+//! (`revsynth-perm`, `revsynth-canon`, `revsynth-table`, `revsynth-bfs`
+//! and the rest all `#![forbid(unsafe_code)]`): besides the mapping, it
+//! holds the raw-syscall networking of [`net`] and the SIMD
+//! canonicalization kernel of [`shuffle`]. The argument for each use:
 //!
 //! * **Mapping lifetime.** A [`Region`] owns its mapping (or heap buffer)
 //!   and unmaps it only in `Drop`. [`ArcSlice`] holds an `Arc<Region>`,
@@ -38,8 +40,15 @@
 //!   instruction for the address of a live reference. A prefetch is a
 //!   hint: it never faults, never writes, and has no effect a program can
 //!   observe other than timing, so it cannot break any invariant above.
+//! * **SIMD kernel.** [`shuffle::first_min_conjugate`] calls a function
+//!   compiled with the `ssse3` target feature only after
+//!   `is_x86_feature_detected!("ssse3")` has confirmed that the running
+//!   CPU supports it, and returns `None` otherwise, so no SSSE3
+//!   instruction ever reaches a CPU without SSSE3. Its only memory access
+//!   is an unaligned 16-byte load from a live `&[u8; 16]`.
 
 pub mod net;
+pub mod shuffle;
 
 use std::fmt;
 use std::fs::File;

@@ -2,7 +2,7 @@
 //! connection state machines, the stats endpoint and graceful shutdown.
 //!
 //! A query's hot path is: read frame → decode → canonicalize
-//! ([`Symmetries::canonicalize`], ~750 instructions) → [`ClassCache`]
+//! ([`Symmetries::canonicalize`], the shuffle kernel) → [`ClassCache`]
 //! lookup → replay the cached representative circuit through the
 //! witness ([`replay_for_witness`]) → write frame. No search, no table
 //! probe: the warm path's cost is two syscalls and a few microseconds of

@@ -6,8 +6,7 @@
 //! inversion). Both [`Perm::cycle_type_key`] and [`Perm::wire_weight_key`]
 //! are **constant on each class**, so a candidate composition whose
 //! combined invariant key matches no stored function *provably* misses the
-//! table — its ~750-instruction canonicalization and hash probe can be
-//! skipped outright.
+//! table — its canonicalization and hash probe can be skipped outright.
 //!
 //! The index maps each distinct combined invariant value occurring in the
 //! tables to the **bitmask of optimal sizes** at which it occurs (bit `d`

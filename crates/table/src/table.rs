@@ -241,7 +241,7 @@ impl FnTable {
     /// at k = 7) every probe is a cache miss. The meet-in-the-middle inner
     /// loop therefore starts the next candidates' probes *before*
     /// finishing the current one, so the home-slot loads run behind the
-    /// next ~750-instruction canonicalizations instead of one after
+    /// next candidates' canonicalizations instead of one after
     /// another ([`contains`](Self::contains) by contrast stalls on the
     /// load).
     ///

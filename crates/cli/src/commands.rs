@@ -96,10 +96,12 @@ COMMANDS:
                1). --cores runs that many core-pinned event loops, each
                with its own SO_REUSEPORT listener and miss lane (`auto`
                = one per hardware CPU; default 1); --portable-poll
-               forces the epoll-free readiness backend (testing knob). --linger-ms holds each batch open that long before
-               searching (group commit: bigger batches and a guaranteed
-               coalescing window, at that much added miss latency;
-               default 0). Runs until a client sends a shutdown request
+               forces the scan readiness backend instead of
+               epoll+eventfd (testing knob; the `serving` line names
+               the backend). --linger-ms holds each batch open that
+               long before searching (group commit: bigger batches and
+               a guaranteed coalescing window, at that much added miss
+               latency; default 0). Runs until a client sends a shutdown request
                (`revsynth query --shutdown`), then prints final stats.
                Queries carry a per-request cost model; the quantum and
                depth engines are generated lazily on first use
@@ -1163,14 +1165,15 @@ fn cmd_serve(opts: &Opts) -> CliResult {
     println!(
         "serving n = {wires} functions up to {max_size} gates \
          ({} event-loop core{}, {} scheduler workers, {}-class cache; \
-         quantum/depth engines lazy at budgets {}/{}; kernel: {})",
+         quantum/depth engines lazy at budgets {}/{}; kernel: {}; readiness: {})",
         config.cores,
         if config.cores == 1 { "" } else { "s" },
         config.workers,
         config.cache_capacity,
         suite_config.quantum_budget,
         suite_config.depth_budget,
-        kernel
+        kernel,
+        server.readiness()
     );
     let stats = server.run()?;
     println!("final stats: {}", stats.to_json());

@@ -13,8 +13,10 @@
 //! This is the only crate in the workspace that contains `unsafe` code
 //! (`revsynth-perm`, `revsynth-canon`, `revsynth-table`, `revsynth-bfs`
 //! and the rest all `#![forbid(unsafe_code)]`): besides the mapping, it
-//! holds the raw-syscall networking of [`net`] and the SIMD
-//! canonicalization kernel of [`shuffle`]. The argument for each use:
+//! holds the raw-syscall networking of [`net`] (sockets, epoll and the
+//! eventfd wakers of the serving event loops; its module docs carry the
+//! descriptor and pointer arguments) and the SIMD canonicalization
+//! kernel of [`shuffle`]. The argument for each use:
 //!
 //! * **Mapping lifetime.** A [`Region`] owns its mapping (or heap buffer)
 //!   and unmaps it only in `Drop`. [`ArcSlice`] holds an `Arc<Region>`,

@@ -1,25 +1,30 @@
 //! Std-only raw-syscall networking for thread-per-core serving:
-//! `SO_REUSEPORT` listeners, an `epoll(7)` readiness poller, and
-//! best-effort CPU pinning.
+//! `SO_REUSEPORT` listeners, an `epoll(7)` readiness poller, an
+//! `eventfd(2)` waker, and best-effort CPU pinning.
 //!
 //! The workspace carries no external dependencies, so — exactly like the
 //! `mmap(2)` path in this crate — the handful of calls std does not
-//! expose (`setsockopt(SO_REUSEPORT)`, `epoll_*`, `sched_setaffinity`)
-//! are issued as raw syscalls on the platforms we support. Every entry
-//! point degrades gracefully: on other platforms (or kernel refusal)
-//! constructors return `None`/`false` and the caller falls back to a
-//! portable std path, so no caller needs a `cfg` of its own.
+//! expose (`setsockopt(SO_REUSEPORT)`, `epoll_*`, `eventfd2` with its
+//! `read`/`write`, `sched_setaffinity`) are issued as raw syscalls on the
+//! platforms we support. Every entry point degrades gracefully: on other
+//! platforms (or kernel refusal) constructors return `None`/`false` and
+//! the caller falls back to a portable std path, so no caller needs a
+//! `cfg` of its own.
 //!
 //! # Safety argument (scoped to this module)
 //!
-//! * **File descriptors.** Sockets and epoll instances are created by
-//!   this module, checked for error returns, and either handed to owning
-//!   std types ([`std::net::TcpListener`] via `FromRawFd`) or closed in
-//!   `Drop` ([`Poller`]). No descriptor is used after transfer or close.
+//! * **File descriptors.** Sockets, epoll instances and eventfds are
+//!   created by this module, checked for error returns, and either handed
+//!   to owning std types ([`std::net::TcpListener`] via `FromRawFd`) or
+//!   closed in `Drop` ([`Poller`], [`Waker`]). No descriptor is used after
+//!   transfer or close: a `Waker` is woken and drained only through
+//!   `&self`, so every `read`/`write` on its eventfd happens while the
+//!   owner is alive, before `Drop` closes it.
 //! * **Pointers passed to the kernel.** Every pointer argument
-//!   (`sockaddr_in`, epoll event buffers, affinity masks) refers to a
-//!   live, correctly sized stack or heap object for the duration of the
-//!   call; the kernel does not retain them.
+//!   (`sockaddr_in`, epoll event buffers, affinity masks, the 8-byte
+//!   eventfd counter) refers to a live, correctly sized stack or heap
+//!   object for the duration of the call; the kernel does not retain
+//!   them.
 //! * **Event buffer initialization.** `epoll_pwait` writes up to
 //!   `maxevents` entries; only the prefix the kernel reports as written
 //!   is read back, and the buffer is zero-initialized regardless.
@@ -113,12 +118,66 @@ impl Drop for Poller {
     }
 }
 
+/// An `eventfd(2)` wake-up counter for a [`Poller`].
+///
+/// Any thread may [`wake`](Self::wake) it; registered with a poller for
+/// readability, it reports readable until [`drain`](Self::drain) resets
+/// the count. Under level-triggered epoll a wake therefore stays pending
+/// across any number of waits, and several wakes before one drain give
+/// one readiness. [`Waker::new`] returns `None` where eventfd is
+/// unavailable; callers fall back to polling.
+#[derive(Debug)]
+pub struct Waker {
+    #[cfg_attr(
+        not(all(
+            target_os = "linux",
+            any(target_arch = "x86_64", target_arch = "aarch64")
+        )),
+        allow(dead_code)
+    )]
+    fd: i32,
+}
+
+impl Waker {
+    /// Creates a non-blocking, close-on-exec eventfd, or `None` where
+    /// unsupported.
+    #[must_use]
+    pub fn new() -> Option<Waker> {
+        sys::waker_new()
+    }
+
+    /// The descriptor to register with [`Poller::add`] (readable
+    /// interest).
+    #[must_use]
+    pub fn fd(&self) -> i32 {
+        self.fd
+    }
+
+    /// Adds one to the counter, making the descriptor readable. Never
+    /// blocks: a write refused because the counter is full loses nothing,
+    /// since a full counter is readable already.
+    pub fn wake(&self) {
+        sys::waker_wake(self.fd);
+    }
+
+    /// Resets the counter and returns the wakes it held (0 if none).
+    pub fn drain(&self) -> u64 {
+        sys::waker_drain(self.fd)
+    }
+}
+
+impl Drop for Waker {
+    fn drop(&mut self) {
+        sys::close_fd(self.fd);
+    }
+}
+
 #[cfg(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
 mod sys {
-    use super::{Event, Poller};
+    use super::{Event, Poller, Waker};
     use std::net::TcpListener;
     use std::os::unix::io::FromRawFd;
 
@@ -138,12 +197,16 @@ mod sys {
     const EPOLLOUT: u32 = 0x004;
     const EPOLLERR: u32 = 0x008;
     const EPOLLHUP: u32 = 0x010;
+    const EFD_NONBLOCK: usize = 0x800;
+    const EFD_CLOEXEC: usize = 0x80000;
     const EINTR: isize = -4;
     const BACKLOG: usize = 1024;
     const MAX_EVENTS: usize = 64;
 
     #[cfg(target_arch = "x86_64")]
     mod nr {
+        pub const READ: usize = 0;
+        pub const WRITE: usize = 1;
         pub const CLOSE: usize = 3;
         pub const SOCKET: usize = 41;
         pub const BIND: usize = 49;
@@ -152,14 +215,18 @@ mod sys {
         pub const SCHED_SETAFFINITY: usize = 203;
         pub const EPOLL_CTL: usize = 233;
         pub const EPOLL_PWAIT: usize = 281;
+        pub const EVENTFD2: usize = 290;
         pub const EPOLL_CREATE1: usize = 291;
     }
     #[cfg(target_arch = "aarch64")]
     mod nr {
+        pub const EVENTFD2: usize = 19;
         pub const EPOLL_CREATE1: usize = 20;
         pub const EPOLL_CTL: usize = 21;
         pub const EPOLL_PWAIT: usize = 22;
         pub const CLOSE: usize = 57;
+        pub const READ: usize = 63;
+        pub const WRITE: usize = 64;
         pub const SCHED_SETAFFINITY: usize = 122;
         pub const SOCKET: usize = 198;
         pub const BIND: usize = 200;
@@ -361,6 +428,56 @@ mod sys {
         }
         true
     }
+
+    pub(super) fn waker_new() -> Option<Waker> {
+        // SAFETY: eventfd2 takes no pointers; the fd is checked.
+        let ret = unsafe { syscall6(nr::EVENTFD2, 0, EFD_CLOEXEC | EFD_NONBLOCK, 0, 0, 0, 0) };
+        if failed(ret) {
+            return None;
+        }
+        Some(Waker { fd: ret as i32 })
+    }
+
+    pub(super) fn waker_wake(fd: i32) {
+        let one: u64 = 1;
+        // SAFETY: `&one` is a live 8-byte value for the duration of the
+        // call; the kernel copies it. The only failure on a non-blocking
+        // eventfd is EAGAIN at a full counter, which is readable anyway.
+        unsafe {
+            syscall6(
+                nr::WRITE,
+                fd as usize,
+                std::ptr::from_ref(&one) as usize,
+                8,
+                0,
+                0,
+                0,
+            );
+        }
+    }
+
+    pub(super) fn waker_drain(fd: i32) -> u64 {
+        let mut count: u64 = 0;
+        // SAFETY: `count` is a live, writable 8-byte value for the
+        // duration of the call; the kernel writes at most 8 bytes into
+        // it. A zero counter fails with EAGAIN and writes nothing.
+        let ret = unsafe {
+            syscall6(
+                nr::READ,
+                fd as usize,
+                std::ptr::from_mut(&mut count) as usize,
+                8,
+                0,
+                0,
+                0,
+            )
+        };
+        if failed(ret) {
+            0
+        } else {
+            count
+        }
+    }
 }
 
 #[cfg(not(all(
@@ -370,7 +487,7 @@ mod sys {
 mod sys {
     //! Portable stubs: every constructor declines, every operation
     //! no-ops, so callers take their std fallback paths.
-    use super::{Event, Poller};
+    use super::{Event, Poller, Waker};
     use std::net::TcpListener;
 
     pub(super) const EPOLL_CTL_ADD: usize = 1;
@@ -403,6 +520,16 @@ mod sys {
 
     pub(super) fn poller_wait(_epfd: i32, _events: &mut Vec<Event>, _timeout_ms: i32) -> bool {
         false
+    }
+
+    pub(super) fn waker_new() -> Option<Waker> {
+        None
+    }
+
+    pub(super) fn waker_wake(_fd: i32) {}
+
+    pub(super) fn waker_drain(_fd: i32) -> u64 {
+        0
     }
 }
 
@@ -474,6 +601,51 @@ mod tests {
         assert!(poller.remove(server.as_raw_fd()));
         assert!(poller.wait(&mut events, 10));
         assert!(events.is_empty(), "{events:?}");
+    }
+
+    #[test]
+    fn waker_exists_exactly_where_the_raw_syscalls_do() {
+        let supported = cfg!(all(
+            target_os = "linux",
+            any(target_arch = "x86_64", target_arch = "aarch64")
+        ));
+        assert_eq!(Waker::new().is_some(), supported);
+    }
+
+    #[test]
+    fn a_registered_waker_is_readable_after_wake_until_drained() {
+        let (Some(poller), Some(waker)) = (Poller::new(), Waker::new()) else {
+            return; // platform without epoll or eventfd
+        };
+        assert!(poller.add(waker.fd(), 9, false));
+        let mut events = Vec::new();
+        assert!(poller.wait(&mut events, 0));
+        assert!(events.is_empty(), "a fresh waker is quiet: {events:?}");
+        assert_eq!(waker.drain(), 0, "nothing to drain");
+        let woken = [Event {
+            token: 9,
+            readable: true,
+            writable: false,
+        }];
+        // A wake from another thread makes the waker readable...
+        std::thread::scope(|s| {
+            s.spawn(|| waker.wake());
+        });
+        assert!(poller.wait(&mut events, 1000));
+        assert_eq!(events, woken);
+        // ...and, level-triggered, it stays readable: several wakes give
+        // one readiness per wait, never one per wake.
+        waker.wake();
+        waker.wake();
+        for _ in 0..2 {
+            assert!(poller.wait(&mut events, 1000));
+            assert_eq!(events, woken);
+        }
+        // Draining returns every wake so far and clears the readiness.
+        assert_eq!(waker.drain(), 3);
+        assert!(poller.wait(&mut events, 0));
+        assert!(events.is_empty(), "drained waker still ready: {events:?}");
+        assert_eq!(waker.drain(), 0);
     }
 
     #[test]

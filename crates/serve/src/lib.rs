@@ -25,8 +25,9 @@
 //!   [`ServeConfig::cores`] pinned event loops (`SO_REUSEPORT`
 //!   listeners + epoll where available, a portable scan loop
 //!   elsewhere) over non-blocking connection state machines; cache
-//!   misses park on scheduler tickets instead of blocking, and each
-//!   core feeds its own miss lane with cross-core stealing only on
+//!   misses park on scheduler tickets instead of blocking (an eventfd
+//!   wakes the core the moment its ticket resolves), and each core
+//!   feeds its own miss lane with cross-core stealing only on
 //!   imbalance.
 //! * [`loadgen`] — a deterministic closed-loop load generator used by
 //!   the CLI `loadgen` command and the CI serve jobs.

@@ -17,7 +17,10 @@
 //! Completed circuits are inserted into the [`ClassCache`] *before* the
 //! ticket is resolved and removed from the in-flight map, so a request
 //! arriving at any point either hits the cache or finds the in-flight
-//! ticket — no ordering window re-runs a finished search.
+//! ticket — no ordering window re-runs a finished search. Resolving a
+//! ticket wakes everyone waiting on it: threads blocked in
+//! [`Scheduler::request`], and event-loop cores parked on it through
+//! [`TicketHandle::wake_on_resolve`].
 //!
 //! **Overload control** (the robustness substrate under the planet-scale
 //! rewrite): the miss queue is bounded per cost model
@@ -61,6 +64,7 @@ use std::time::{Duration, Instant};
 
 use revsynth_circuit::{Circuit, CostKind};
 use revsynth_core::{SearchOptions, SynthesisSuite};
+use revsynth_mmap::net::Waker;
 use revsynth_obs::{Counter, Histogram, Stage, Trace};
 use revsynth_perm::Perm;
 
@@ -117,9 +121,9 @@ impl fmt::Display for ServeError {
 impl Error for ServeError {}
 
 /// One in-flight class search: the result slot every coalesced waiter
-/// blocks on.
+/// blocks on, or — for event-loop cores — is woken from.
 struct Ticket {
-    result: Mutex<Option<Result<Circuit, ServeError>>>,
+    state: Mutex<TicketState>,
     ready: Condvar,
     /// Wall-clock µs the worker spent inside the batched engine call
     /// that answered this ticket (the whole per-model batch duration —
@@ -131,38 +135,63 @@ struct Ticket {
     search_us: AtomicU64,
 }
 
+/// A ticket's result slot and the event-loop cores parked on it, under
+/// one mutex: a core either registers before the result is published
+/// (and [`Ticket::fulfill`] wakes it) or sees the result already there
+/// (and wakes itself), so no wake-up can fall between the two.
+struct TicketState {
+    result: Option<Result<Circuit, ServeError>>,
+    /// One waker per parked core, however many of its connections hold
+    /// the ticket; coalesced waiters may sit on several cores.
+    parked: Vec<Arc<Waker>>,
+}
+
 impl Ticket {
     fn new() -> Self {
         Ticket {
-            result: Mutex::new(None),
+            state: Mutex::new(TicketState {
+                result: None,
+                parked: Vec::new(),
+            }),
             ready: Condvar::new(),
             search_us: AtomicU64::new(0),
         }
     }
 
+    /// Publishes the result, then wakes every blocked waiter and every
+    /// parked core once. Every resolution path ends here: search done,
+    /// drain-time expiry, fault-plan failure, worker panic, shutdown.
     fn fulfill(&self, result: Result<Circuit, ServeError>) {
-        *lock(&self.result) = Some(result);
+        let parked = {
+            let mut state = lock(&self.state);
+            state.result = Some(result);
+            std::mem::take(&mut state.parked)
+        };
         self.ready.notify_all();
+        for waker in parked {
+            waker.wake();
+        }
     }
 
     fn wait(&self) -> Result<Circuit, ServeError> {
-        let mut slot = lock(&self.result);
+        let mut state = lock(&self.state);
         loop {
-            if let Some(result) = slot.as_ref() {
+            if let Some(result) = state.result.as_ref() {
                 return result.clone();
             }
-            slot = self
+            state = self
                 .ready
-                .wait(slot)
+                .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
 
 /// A non-blocking handle to an in-flight (or just-resolved) class
-/// search, returned by [`Scheduler::submit`]. An event loop polls
-/// [`try_result`](Self::try_result) on its readiness ticks instead of
-/// parking a thread per request.
+/// search, returned by [`Scheduler::submit`]. An event loop parks the
+/// connection on it instead of a thread: it registers its core's
+/// [`Waker`] with [`wake_on_resolve`](Self::wake_on_resolve), and once
+/// woken reads [`try_result`](Self::try_result).
 pub struct TicketHandle {
     ticket: Arc<Ticket>,
 }
@@ -172,7 +201,21 @@ impl TicketHandle {
     /// queued or mid-batch. Never blocks beyond the result-slot mutex.
     #[must_use]
     pub fn try_result(&self) -> Option<Result<Circuit, ServeError>> {
-        lock(&self.ticket.result).clone()
+        lock(&self.ticket.state).result.clone()
+    }
+
+    /// Wakes `waker` once when the ticket resolves — at once if it
+    /// already has, so a wake is never lost to the race between
+    /// [`Scheduler::submit`] and this call. A core registered twice (two
+    /// of its connections on one ticket) is still woken once.
+    pub fn wake_on_resolve(&self, waker: &Arc<Waker>) {
+        let mut state = lock(&self.ticket.state);
+        if state.result.is_some() {
+            drop(state);
+            waker.wake();
+        } else if !state.parked.iter().any(|w| Arc::ptr_eq(w, waker)) {
+            state.parked.push(Arc::clone(waker));
+        }
     }
 
     /// Wall-clock µs the worker spent inside the batched engine call
@@ -190,20 +233,21 @@ impl fmt::Debug for TicketHandle {
         write!(
             f,
             "TicketHandle(resolved: {})",
-            lock(&self.ticket.result).is_some()
+            lock(&self.ticket.state).result.is_some()
         )
     }
 }
 
 /// Outcome of a non-blocking [`Scheduler::submit`]: either the answer
 /// is already in hand (cache re-check hit, shed, expired, shutdown), or
-/// a ticket to poll.
+/// a ticket to park on.
 #[derive(Debug)]
 pub enum Submission {
     /// Resolved at admission; no worker involvement needed (or
     /// possible).
     Ready(Result<Circuit, ServeError>),
-    /// Queued (or coalesced onto an in-flight search); poll the handle.
+    /// Queued (or coalesced onto an in-flight search); park on the
+    /// handle.
     Pending(TicketHandle),
 }
 
@@ -525,7 +569,7 @@ impl Scheduler {
     /// loops: the full [`request_with_deadline`](Self::request_with_deadline)
     /// admission decision (coalesce → cache re-check → expire → shed →
     /// enqueue), but instead of parking the calling thread it returns
-    /// either the immediate outcome or a [`TicketHandle`] to poll. The
+    /// either the immediate outcome or a [`TicketHandle`] to park on. The
     /// fresh-enqueue path places the entry in lane `lane % shards`
     /// (see [`SchedulerOptions::shards`]) — a serving core passes its
     /// own index so its misses queue without cross-core contention.
@@ -1580,6 +1624,149 @@ mod tests {
             }
         });
         assert_eq!(sched.counters().steals, 0, "one lane has no siblings");
+        sched.shutdown();
+    }
+
+    /// An event-loop core's wake-up plumbing: its waker, registered
+    /// with its poller. `None` where epoll or eventfd is unavailable.
+    struct Core {
+        poller: revsynth_mmap::net::Poller,
+        waker: Arc<Waker>,
+    }
+
+    impl Core {
+        fn new() -> Option<Core> {
+            let poller = revsynth_mmap::net::Poller::new()?;
+            let waker = Arc::new(Waker::new()?);
+            assert!(poller.add(waker.fd(), 0, false));
+            Some(Core { poller, waker })
+        }
+
+        /// Blocks until the waker fires (failing after 30 s), then
+        /// returns the wakes it held.
+        fn await_wake(&self) -> u64 {
+            let mut events = Vec::new();
+            assert!(self.poller.wait(&mut events, 30_000));
+            assert_eq!(events.len(), 1, "core never woken");
+            self.waker.drain()
+        }
+    }
+
+    /// Submits a fresh `rep` and parks `core` on its ticket.
+    fn park(sched: &Scheduler, core: &Core, rep: Perm, deadline: Option<Instant>) -> TicketHandle {
+        match sched.submit(CostKind::Gates, rep, deadline, 0) {
+            Submission::Pending(handle) => {
+                handle.wake_on_resolve(&core.waker);
+                handle
+            }
+            other => panic!("fresh class must queue, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn parked_cores_are_woken_on_every_resolution_path() {
+        let Some(core) = Core::new() else {
+            return; // platform without epoll or eventfd
+        };
+        let suite = Arc::new(test_suite());
+        let reps = class_reps(&suite, 3);
+        let with_plan = |plan: FaultPlan| {
+            Scheduler::with_options(
+                Arc::clone(&suite),
+                Arc::new(ClassCache::new(256)),
+                1,
+                SearchOptions::new().threads(1),
+                SchedulerOptions {
+                    faults: Some(Arc::new(plan)),
+                    ..SchedulerOptions::default()
+                },
+            )
+        };
+
+        // A finished search.
+        let (sched, _, _) = scheduler(1);
+        let handle = park(&sched, &core, reps[0], None);
+        assert_eq!(core.await_wake(), 1);
+        assert_eq!(handle.try_result().unwrap().unwrap().perm(4), reps[0]);
+        // Registering after the result is published wakes at once.
+        handle.wake_on_resolve(&core.waker);
+        assert_eq!(core.await_wake(), 1);
+        sched.shutdown();
+
+        // A fault-plan failure.
+        let sched = with_plan(FaultPlan::new(3).with_fail_every(1));
+        let handle = park(&sched, &core, reps[0], None);
+        assert_eq!(core.await_wake(), 1);
+        match handle.try_result() {
+            Some(Err(ServeError::Synthesis(msg))) => assert!(msg.contains(INJECTED_FAILURE)),
+            other => panic!("expected injected failure, got {other:?}"),
+        }
+        sched.shutdown();
+
+        // A worker panic: the drain guard resolves during unwinding.
+        let sched = with_plan(FaultPlan::new(5).with_panic_every(1));
+        let handle = park(&sched, &core, reps[0], None);
+        assert_eq!(core.await_wake(), 1);
+        match handle.try_result() {
+            Some(Err(ServeError::Synthesis(msg))) => assert!(msg.contains(WORKER_PANIC)),
+            other => panic!("expected abandoned search, got {other:?}"),
+        }
+        sched.shutdown();
+
+        // Drain-time expiry, then shutdown: each ticket queues behind a
+        // 300 ms search. The first expires when the worker drains it;
+        // the second is failed by shutdown while still queued. Each
+        // ticket parks its own core, so every wake is counted apart.
+        let sched = with_plan(FaultPlan::new(7).with_search_delay(Duration::from_millis(300)));
+        let (busy_core, queued_core) = (Core::new().unwrap(), Core::new().unwrap());
+        let busy = park(&sched, &busy_core, reps[0], None);
+        std::thread::sleep(Duration::from_millis(100));
+        let deadline = Instant::now() + Duration::from_millis(50);
+        let doomed = park(&sched, &queued_core, reps[1], Some(deadline));
+        assert_eq!(queued_core.await_wake(), 1);
+        assert_eq!(doomed.try_result(), Some(Err(ServeError::Expired)));
+        assert_eq!(busy_core.await_wake(), 1);
+        assert!(busy.try_result().unwrap().is_ok());
+
+        let busy = park(&sched, &busy_core, reps[2], None);
+        std::thread::sleep(Duration::from_millis(100));
+        let queued = park(&sched, &queued_core, reps[1], None);
+        std::thread::scope(|s| {
+            s.spawn(|| sched.shutdown());
+            assert_eq!(queued_core.await_wake(), 1);
+            assert_eq!(queued.try_result(), Some(Err(ServeError::ShuttingDown)));
+        });
+        assert_eq!(busy_core.await_wake(), 1, "the running search finished");
+        assert!(busy.try_result().unwrap().is_ok());
+    }
+
+    #[test]
+    fn coalesced_waiters_on_two_cores_are_each_woken_once() {
+        let (Some(a), Some(b)) = (Core::new(), Core::new()) else {
+            return; // platform without epoll or eventfd
+        };
+        let plan = FaultPlan::new(0xC0A1).with_search_delay(Duration::from_millis(200));
+        let (sched, suite) = chaos_scheduler(Arc::new(plan), 0);
+        let rep = class_reps(&suite, 1)[0];
+        let first = park(&sched, &a, rep, None);
+        // Two more connections hold the same ticket: one on core a
+        // again, one on core b.
+        let mut coalesced = Vec::new();
+        for core in [&a, &b] {
+            match sched.submit(CostKind::Gates, rep, None, 1) {
+                Submission::Pending(handle) => {
+                    handle.wake_on_resolve(&core.waker);
+                    coalesced.push(handle);
+                }
+                other => panic!("in-flight class must coalesce, got {other:?}"),
+            }
+        }
+        assert_eq!(sched.counters().coalesced, 2);
+        assert_eq!(a.await_wake(), 1, "core a woken once for both its holders");
+        assert_eq!(b.await_wake(), 1);
+        for handle in coalesced.iter().chain([&first]) {
+            assert_eq!(handle.try_result().unwrap().unwrap().perm(4), rep);
+        }
         sched.shutdown();
     }
 

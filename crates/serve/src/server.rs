@@ -19,6 +19,7 @@
 //! a single std listener. Readiness comes from `epoll(7)` where
 //! available, with a portable scan-loop fallback over non-blocking
 //! sockets ([`ServeConfig::portable_poll`] forces it for tests).
+//! [`Server::readiness`] names the backend the cores run.
 //!
 //! Connections are non-blocking state machines, not threads: a
 //! [`FrameReader`] reassembles trickled request frames across readiness
@@ -28,6 +29,17 @@
 //! keeps serving its other connections while the batch search runs.
 //! Each core submits misses to its own scheduler lane; an idle worker
 //! steals from the longest sibling lane only on imbalance.
+//!
+//! **Ticket wake-ups**: each epoll core owns an `eventfd` waker
+//! registered with its poller. A core parks a miss by registering its
+//! waker on the ticket ([`TicketHandle::wake_on_resolve`]), and whoever
+//! resolves the ticket writes the waker after publishing the result, so
+//! the loop blocks in `epoll_wait` with tickets in flight and wakes the
+//! moment one resolves. The woken loop drains its waker *before* it
+//! scans its parked tickets: a wake landing after the drain leaves the
+//! level-triggered waker readable for the next wait, so none is lost. A
+//! core without a poller or waker runs the scan loop, which reads every
+//! parked ticket on each tick.
 //!
 //! **Warm restarts**: with a snapshot path configured, [`Server::bind`]
 //! restores the class cache from the checksummed on-disk snapshot
@@ -77,24 +89,15 @@ use crate::scheduler::{
 use crate::snapshot::{self, RestoreOutcome, SnapshotRecord};
 use crate::stats::{HealthReport, LatencyHistogram, ServeStats};
 
-/// How long an idle event loop sleeps in `epoll_wait` before re-checking
-/// the shutdown flag. Bounds shutdown latency; incoming traffic wakes
-/// the loop immediately regardless.
+/// How long an event loop blocks in `epoll_wait` without readiness.
+/// Incoming traffic, a resolved ticket and shutdown all wake the loop
+/// at once (the last two through its waker), so this only bounds how
+/// late a timeout re-reads the parked tickets and the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(200);
 
 /// Wait bound during shutdown wind-down: the loop must keep re-checking
 /// the write-stall grace clock even with no readiness events.
 const BUSY_WAIT_MS: i32 = 1;
-
-/// Tick while any connection holds an in-flight ticket: tickets are
-/// resolved by polling (they have no file descriptor epoll could watch),
-/// and a millisecond-granularity `epoll_wait` timeout would add up to a
-/// full millisecond of latency to every cache miss. Instead the loop
-/// polls readiness without blocking and sleeps this long when idle —
-/// short enough to keep miss latency close to the search time, long
-/// enough that the poll steals only a few percent of the CPU a search
-/// worker needs on a saturated host.
-const TICKET_POLL_TICK: Duration = Duration::from_micros(100);
 
 /// The scan-fallback tick: without epoll the loop cannot be woken by
 /// readiness, so it polls every socket at this cadence.
@@ -111,6 +114,9 @@ const SHUTDOWN_WRITE_GRACE: Duration = Duration::from_secs(5);
 
 /// The readiness token registered for a core's listener.
 const LISTENER_TOKEN: u64 = u64::MAX;
+
+/// The readiness token registered for a core's waker.
+const WAKER_TOKEN: u64 = u64::MAX - 1;
 
 /// Capacity of the rolling all-requests trace ring (served by the
 /// `Traces` frame; [`render_trace_json`] bounds the reply to the frame
@@ -198,8 +204,9 @@ pub struct ServeConfig {
     /// [`ServeStats`] view is maintained regardless.
     pub instrumentation: bool,
     /// Forces the portable scan-poll readiness backend even where epoll
-    /// is available. The fallback is automatic on platforms without
-    /// epoll; this knob exists so tests exercise that path everywhere.
+    /// and eventfd are available. The fallback is automatic on platforms
+    /// without them; this knob exists so tests exercise that path
+    /// everywhere.
     pub portable_poll: bool,
 }
 
@@ -564,6 +571,9 @@ struct Shared {
     retry_after_ms: u32,
     latency: LatencyHistogram,
     shutdown: AtomicBool,
+    /// Each core's waker, indexed by core; `None` for a core that runs
+    /// the scan loop. Parked tickets and shutdown write these.
+    wakers: Vec<Option<Arc<net::Waker>>>,
     addr: SocketAddr,
     started: Instant,
     /// Snapshot path when persistence is on; `None` makes every
@@ -668,9 +678,11 @@ pub struct Server {
     /// One listener per core: distinct `SO_REUSEPORT` sockets where
     /// available, clones of a single std listener otherwise.
     listeners: Vec<TcpListener>,
+    /// Each core's epoll poller, with its listener and waker registered;
+    /// `None` for a core that runs the scan loop.
+    pollers: Vec<Option<net::Poller>>,
     shared: Arc<Shared>,
     snapshot_interval: Option<Duration>,
-    portable_poll: bool,
     restore_summary: RestoreSummary,
 }
 
@@ -751,6 +763,23 @@ fn bind_listeners(port: u16, cores: usize) -> io::Result<(Vec<TcpListener>, Sock
     Ok((listeners, addr))
 }
 
+/// A core's epoll backend: a poller with the core's listener and a fresh
+/// waker registered. `None` — the scan loop — when `portable_poll` is
+/// set, or epoll or eventfd is unavailable or refuses a registration.
+fn epoll_backend(
+    listener: &TcpListener,
+    portable_poll: bool,
+) -> Option<(net::Poller, Arc<net::Waker>)> {
+    if portable_poll {
+        return None;
+    }
+    let poller = net::Poller::new()?;
+    let waker = net::Waker::new()?;
+    let registered = poller.add(raw_fd(listener), LISTENER_TOKEN, false)
+        && poller.add(waker.fd(), WAKER_TOKEN, false);
+    registered.then(|| (poller, Arc::new(waker)))
+}
+
 impl Server {
     /// Binds one listener per configured core and starts the scheduler
     /// workers. Accepts a [`ServeConfig`] by value or reference.
@@ -766,6 +795,10 @@ impl Server {
         let config: ServeConfig = config.into();
         let cores = config.cores.max(1);
         let (listeners, addr) = bind_listeners(config.port, cores)?;
+        let (pollers, wakers) = listeners
+            .iter()
+            .map(|l| epoll_backend(l, config.portable_poll).unzip())
+            .unzip();
         // Cache shards scale with cores so per-core loops don't
         // serialize on shard mutexes (8 shards per core, the pre-PR-10
         // default at one core).
@@ -821,8 +854,8 @@ impl Server {
         );
         Ok(Server {
             listeners,
+            pollers,
             snapshot_interval: config.snapshot_interval,
-            portable_poll: config.portable_poll,
             shared: Arc::new(Shared {
                 suite,
                 cache,
@@ -835,6 +868,7 @@ impl Server {
                 retry_after_ms: config.retry_after_ms,
                 latency: LatencyHistogram::new(),
                 shutdown: AtomicBool::new(false),
+                wakers,
                 addr,
                 started: Instant::now(),
                 snapshot_path: config.snapshot.clone(),
@@ -863,6 +897,23 @@ impl Server {
         &self.restore_summary
     }
 
+    /// The readiness backend the event loops run: `"epoll+eventfd"`
+    /// (epoll, woken by an eventfd when a ticket resolves) or `"scan"`
+    /// (the portable scan loop: [`ServeConfig::portable_poll`], or no
+    /// epoll or eventfd on this host). `"mixed"` if the cores differ,
+    /// which only a kernel refusing one core's poller or waker causes.
+    #[must_use]
+    pub fn readiness(&self) -> &'static str {
+        let epoll = self.pollers.iter().filter(|p| p.is_some()).count();
+        if epoll == self.pollers.len() {
+            "epoll+eventfd"
+        } else if epoll == 0 {
+            "scan"
+        } else {
+            "mixed"
+        }
+    }
+
     /// Runs the per-core event loops until a shutdown request arrives,
     /// then drains every core, the scheduler, and the snapshotter, and
     /// returns the final stats snapshot.
@@ -874,9 +925,9 @@ impl Server {
     pub fn run(self) -> io::Result<ServeStats> {
         let Server {
             listeners,
+            pollers,
             shared,
             snapshot_interval,
-            portable_poll,
             restore_summary: _,
         } = self;
         // The background snapshotter: wakes every poll tick (so
@@ -902,10 +953,10 @@ impl Server {
         };
         let cores = listeners.len();
         let mut loops = Vec::with_capacity(cores);
-        for (core, listener) in listeners.into_iter().enumerate() {
+        for (core, (listener, poller)) in listeners.into_iter().zip(pollers).enumerate() {
             let shared = Arc::clone(&shared);
             loops.push(std::thread::spawn(move || {
-                core_loop(&shared, listener, core, cores, portable_poll)
+                core_loop(&shared, &listener, poller.as_ref(), core, cores)
             }));
         }
         let mut accept_error: Option<io::Error> = None;
@@ -1011,42 +1062,23 @@ enum QueryOutcome {
 }
 
 /// One core's event loop: accept on this core's listener, pump every
-/// connection's reader/writer on readiness, poll parked tickets, and
-/// wind down gracefully on shutdown. Fatal listener errors flip the
-/// global shutdown flag (so sibling cores exit too) and propagate.
+/// connection's reader/writer on readiness, finish parked queries when
+/// their tickets resolve, and wind down gracefully on shutdown. With a
+/// poller the loop blocks in `epoll_wait` and the core's waker reports
+/// resolved tickets; without one it scans everything each tick. Fatal
+/// errors stop every core (see [`initiate_shutdown`]) and propagate.
 fn core_loop(
     shared: &Shared,
-    listener: TcpListener,
+    listener: &TcpListener,
+    poller: Option<&net::Poller>,
     core: usize,
     cores: usize,
-    portable_poll: bool,
 ) -> io::Result<()> {
     if cores > 1 {
         // Best-effort: an unpinned loop is correct, just migratable.
         let _ = net::pin_to_cpu(core);
     }
-    let poller = if portable_poll {
-        None
-    } else {
-        net::Poller::new()
-    };
-    if let Some(p) = &poller {
-        // A failed listener registration would mean never seeing
-        // accepts; fall back to scanning in that case by dropping the
-        // poller (registration failures are kernel-resource errors).
-        if !p.add(raw_fd(&listener), LISTENER_TOKEN, false) {
-            return core_loop_inner(shared, &listener, core, None);
-        }
-    }
-    core_loop_inner(shared, &listener, core, poller.as_ref())
-}
-
-fn core_loop_inner(
-    shared: &Shared,
-    listener: &TcpListener,
-    core: usize,
-    poller: Option<&net::Poller>,
-) -> io::Result<()> {
+    let waker = shared.wakers[core].as_deref();
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut events: Vec<net::Event> = Vec::new();
     let mut shutdown_seen: Option<Instant> = None;
@@ -1071,35 +1103,27 @@ fn core_loop_inner(
                 return Ok(());
             }
         }
-        // Write-stalled connections are watched by epoll (write
-        // interest is reconciled below), so only ticket-holders force
-        // the loop to tick: sub-millisecond via poll-then-nap, because
-        // `epoll_wait`'s millisecond timeout floor would tax every
-        // cache miss with up to 1 ms of resolution latency.
-        let ticket_wait = conns.iter().flatten().any(|c| c.inflight.is_some());
         match poller {
+            // Write-stalled connections are watched through their write
+            // interest (reconciled below) and parked tickets through the
+            // waker, so the loop blocks even with tickets in flight.
             Some(p) => {
-                let timeout = if ticket_wait {
-                    0
-                } else if shutdown {
+                let timeout = if shutdown {
                     BUSY_WAIT_MS
                 } else {
                     POLL_INTERVAL.as_millis() as i32
                 };
                 if !p.wait(&mut events, timeout) {
                     // A broken epoll fd is unrecoverable for this loop.
-                    shared.shutdown.store(true, Ordering::SeqCst);
+                    initiate_shutdown(shared);
                     return Err(io::Error::other("epoll wait failed"));
-                }
-                if ticket_wait && events.is_empty() {
-                    std::thread::sleep(TICKET_POLL_TICK);
                 }
             }
             None => {
                 // Scan fallback: synthesize readiness for everything
                 // each tick; non-blocking I/O makes spurious readiness
                 // harmless (it costs one WouldBlock).
-                let tick = if ticket_wait || conns.iter().any(Option::is_some) {
+                let tick = if conns.iter().any(Option::is_some) {
                     SCAN_TICK
                 } else {
                     SCAN_IDLE_TICK
@@ -1122,33 +1146,50 @@ fn core_loop_inner(
                 }
             }
         }
+        // The parked tickets are read when the waker fires, on every
+        // scan tick, and after a timeout: a lost wake would cost one
+        // POLL_INTERVAL, never a hung query.
+        let mut read_tickets = poller.is_none() || events.is_empty();
         for event in &events {
-            if event.token == LISTENER_TOKEN {
-                if !shutdown {
-                    accept_ready(shared, listener, core, poller, &mut conns)?;
+            match event.token {
+                LISTENER_TOKEN => {
+                    if !shutdown {
+                        accept_ready(shared, listener, core, poller, &mut conns)?;
+                    }
                 }
-                continue;
-            }
-            let idx = event.token as usize;
-            let Some(Some(conn)) = conns.get_mut(idx) else {
-                continue; // closed earlier this round
-            };
-            if event.readable {
-                pump_read(shared, core, conn);
+                WAKER_TOKEN => {
+                    // Drain before the ticket scan below, never after: a
+                    // wake that lands between the two keeps the waker
+                    // readable for the next wait.
+                    if let Some(w) = waker {
+                        w.drain();
+                    }
+                    read_tickets = true;
+                }
+                token => {
+                    let Some(Some(conn)) = conns.get_mut(token as usize) else {
+                        continue; // closed earlier this round
+                    };
+                    if event.readable {
+                        pump_read(shared, core, conn);
+                    }
+                }
             }
         }
-        // Poll parked tickets: a resolved batch search finishes its
-        // query here, on the core that owns the connection.
-        for slot in conns.iter_mut() {
-            let Some(conn) = slot else { continue };
-            let resolved = conn.inflight.as_ref().and_then(|p| p.handle.try_result());
-            if let Some(result) = resolved {
-                let pending = conn.inflight.take().expect("checked above");
-                finish_query(shared, conn, pending, result);
-                // A frame pipelined behind the parked query may already
-                // sit in the reader's buffer — no readiness event will
-                // ever re-announce it, so parse it now.
-                pump_read(shared, core, conn);
+        // Finish the parked queries whose tickets resolved, on the core
+        // that owns the connection.
+        if read_tickets {
+            for slot in conns.iter_mut() {
+                let Some(conn) = slot else { continue };
+                let resolved = conn.inflight.as_ref().and_then(|p| p.handle.try_result());
+                if let Some(result) = resolved {
+                    let pending = conn.inflight.take().expect("checked above");
+                    finish_query(shared, conn, pending, result);
+                    // A frame pipelined behind the parked query may
+                    // already sit in the reader's buffer — no readiness
+                    // event will ever re-announce it, so parse it now.
+                    pump_read(shared, core, conn);
+                }
             }
         }
         // Flush writers, reconcile epoll write interest, reap closed
@@ -1173,8 +1214,8 @@ fn core_loop_inner(
     }
 }
 
-/// Accepts until the listener would block. Fatal accept errors flip the
-/// global shutdown flag so sibling cores exit too.
+/// Accepts until the listener would block. Fatal accept errors stop
+/// every core (see [`initiate_shutdown`]).
 fn accept_ready(
     shared: &Shared,
     listener: &TcpListener,
@@ -1197,7 +1238,7 @@ fn accept_ready(
                 continue
             }
             Err(e) => {
-                shared.shutdown.store(true, Ordering::SeqCst);
+                initiate_shutdown(shared);
                 return Err(e);
             }
         };
@@ -1434,7 +1475,7 @@ fn begin_query(
     start: Instant,
     deadline: Option<Instant>,
     mut trace: Option<Trace>,
-    lane: usize,
+    core: usize,
 ) -> QueryOutcome {
     let n = shared.suite.wires();
     for x in (1u8 << n)..16 {
@@ -1466,7 +1507,7 @@ fn begin_query(
         }
         return QueryOutcome::Ready(Response::Circuit(answer), trace);
     }
-    let submission = shared.scheduler.submit(kind, w.rep, deadline, lane);
+    let submission = shared.scheduler.submit(kind, w.rep, deadline, core);
     let admitted = Instant::now();
     if let (Some(t), Some(s)) = (trace.as_mut(), probed) {
         t.record(Stage::Admission, us_between(s, admitted));
@@ -1485,13 +1526,20 @@ fn begin_query(
             QueryOutcome::Ready(Response::Overloaded { retry_after_ms }, trace)
         }
         Submission::Ready(Err(e)) => QueryOutcome::Ready(Response::Error(e.to_string()), trace),
-        Submission::Pending(handle) => QueryOutcome::Pending(PendingQuery {
-            handle,
-            witness: w,
-            start,
-            submitted: admitted,
-            trace,
-        }),
+        Submission::Pending(handle) => {
+            // Parked: the scheduler wakes this core when the ticket
+            // resolves (a scan loop reads it on its next tick instead).
+            if let Some(waker) = &shared.wakers[core] {
+                handle.wake_on_resolve(waker);
+            }
+            QueryOutcome::Pending(PendingQuery {
+                handle,
+                witness: w,
+                start,
+                submitted: admitted,
+                trace,
+            })
+        }
     }
 }
 
@@ -1583,12 +1631,13 @@ fn render_trace_json(ring: &TraceRing) -> String {
     format!("[{}]", kept.join(","))
 }
 
-/// Flips the shutdown flag and nudges the acceptor with a
-/// self-connection — every core loop also re-checks the flag on its
-/// own wait timeout, so the nudge only sharpens latency.
+/// Flips the shutdown flag and wakes every core's event loop; a scan
+/// loop sees the flag on its next tick.
 fn initiate_shutdown(shared: &Shared) {
     shared.shutdown.store(true, Ordering::SeqCst);
-    let _ = TcpStream::connect_timeout(&shared.addr, Duration::from_secs(1));
+    for waker in shared.wakers.iter().flatten() {
+        waker.wake();
+    }
 }
 
 #[cfg(test)]

@@ -3,13 +3,15 @@
 //! frame I/O against trickling and torn peers (on both readiness
 //! backends), the shutdown drain order (no final snapshot while any
 //! core still holds an in-flight ticket), the per-core metrics merge,
-//! and the stats conservation law under concurrent multi-core load.
+//! the stats conservation law under concurrent multi-core load, and
+//! prompt ticket wake-ups (a lost wake costs a whole `epoll_wait`
+//! timeout of 200 ms).
 
 use std::io::Write;
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use revsynth_circuit::{Circuit, GateLib};
 use revsynth_core::{SuiteConfig, SynthesisSuite, Synthesizer};
@@ -238,4 +240,129 @@ fn multicore_load_conserves_stats_and_merges_per_core_metrics() {
         final_stats.searches + final_stats.coalesced + final_stats.shed + final_stats.expired,
         "conservation still exact at shutdown"
     );
+}
+
+/// The first `count` classes of 3-gate strings, in a fixed order, none
+/// of them the identity's: table lookups at `k = 3`, so a miss costs the
+/// ticket round trip and next to no search.
+fn fresh_classes(count: usize) -> Vec<Perm> {
+    let gates: Vec<_> = GateLib::nct(4).iter().map(|(_, g, _)| g).collect();
+    let sym = suite().sym().clone();
+    let mut reps = std::collections::HashSet::from([Perm::identity()]);
+    let mut classes = Vec::with_capacity(count);
+    for &a in &gates {
+        for &b in &gates {
+            for &c in &gates {
+                let f = Circuit::from_gates([a, b, c]).perm(4);
+                if classes.len() < count && reps.insert(sym.canonical(f)) {
+                    classes.push(f);
+                }
+            }
+        }
+    }
+    assert_eq!(classes.len(), count, "not enough 3-gate classes");
+    classes
+}
+
+/// This core's `revsynth_core_accepted` count in a metrics scrape.
+fn accepted(metrics: &str, core: usize) -> u64 {
+    let series = format!("revsynth_core_accepted{{core=\"{core}\"}} ");
+    metrics
+        .lines()
+        .find_map(|line| line.strip_prefix(&series))
+        .map_or(0, |count| count.parse().unwrap())
+}
+
+/// One client on each loop of a two-core server. Connects until both
+/// loops have accepted one, telling which loop took each connection by
+/// the accept counter that moved in the scrape that connection fetched.
+fn client_per_core(addr: SocketAddr) -> [Client; 2] {
+    let mut found: [Option<Client>; 2] = [None, None];
+    let mut seen = [0u64; 2];
+    for _ in 0..200 {
+        let mut client = Client::connect_with_timeout(addr, Duration::from_secs(30)).unwrap();
+        let metrics = client.metrics().unwrap();
+        let now = [0, 1].map(|core| accepted(&metrics, core));
+        let core = (0..2)
+            .find(|&c| now[c] > seen[c])
+            .expect("the accept is counted");
+        seen = now;
+        found[core].get_or_insert(client);
+        if found.iter().all(Option::is_some) {
+            return found.map(Option::unwrap);
+        }
+    }
+    panic!("200 connections all landed on one core");
+}
+
+/// Wake-ups, sequential: 50 never-seen classes, one at a time, each a
+/// miss that parks its connection on a ticket. Every answer must come
+/// from the ticket's wake, not from the loop's 200 ms `epoll_wait`
+/// timeout: the bound is loose for CI, yet 50 lost wakes would take 10 s.
+#[test]
+fn sequential_misses_are_answered_without_waiting_out_the_poll_interval() {
+    let classes = fresh_classes(50);
+    for (tag, config) in [
+        ("epoll-1", ServeConfig::new()),
+        ("scan-1", ServeConfig::new().portable_poll(true)),
+    ] {
+        let server = Server::bind(suite(), &config).expect("bind loopback");
+        if config.portable_poll {
+            assert_eq!(server.readiness(), "scan");
+        } else if cfg!(target_os = "linux") {
+            assert_eq!(server.readiness(), "epoll+eventfd");
+        }
+        let handle = server.spawn();
+        let mut client =
+            Client::connect_with_timeout(handle.addr(), Duration::from_secs(30)).unwrap();
+        let start = Instant::now();
+        for &f in &classes {
+            assert_eq!(client.query(f).unwrap().perm(4), f, "[{tag}]");
+        }
+        let elapsed = start.elapsed();
+        let stats = client.stats().unwrap();
+        assert_eq!(stats.cache_misses, 50, "[{tag}] every query a miss");
+        assert_eq!(stats.searches, 50, "[{tag}] every miss a ticket");
+        assert!(
+            elapsed < Duration::from_secs(5),
+            "[{tag}] 50 misses took {elapsed:?}: ticket wake-ups are being lost"
+        );
+        client.shutdown_server().unwrap();
+        assert_eq!(handle.join().unwrap().errors, 0, "[{tag}]");
+    }
+}
+
+/// Wake-ups, coalesced across cores: each round one connection on each
+/// of two loops asks for the same never-seen class, the second while
+/// the first's search (held 50 ms by the fault plan) is in flight, so
+/// both hold one ticket and both cores must be woken when it resolves.
+/// Twenty rounds take about 1 s; twenty lost wakes would take over 4 s.
+#[test]
+fn a_coalesced_miss_wakes_every_core_that_holds_it() {
+    let plan = Arc::new(FaultPlan::new(0xC0A1).with_search_delay(Duration::from_millis(50)));
+    let handle = start_server(&ServeConfig::new().cores(2).faults(Some(plan)));
+    let [mut first, mut second] = client_per_core(handle.addr());
+    let classes = fresh_classes(20);
+    let start = Instant::now();
+    for &f in &classes {
+        std::thread::scope(|s| {
+            let early = s.spawn(|| first.query(f));
+            std::thread::sleep(Duration::from_millis(5));
+            assert_eq!(second.query(f).unwrap().perm(4), f);
+            assert_eq!(early.join().unwrap().unwrap().perm(4), f);
+        });
+    }
+    let elapsed = start.elapsed();
+    let stats = first.stats().unwrap();
+    assert_eq!(stats.searches, 20, "{stats:?}");
+    assert_eq!(
+        stats.coalesced, 20,
+        "every second query rode the first's ticket"
+    );
+    assert!(
+        elapsed < Duration::from_secs(3),
+        "20 coalesced rounds took {elapsed:?}: a core's ticket wake-ups are being lost"
+    );
+    first.shutdown_server().unwrap();
+    assert_eq!(handle.join().unwrap().errors, 0);
 }

@@ -5,7 +5,7 @@ use std::sync::OnceLock;
 
 use revsynth::bfs::{GenOptions, SearchTables};
 use revsynth::circuit::GateLib;
-use revsynth::core::Synthesizer;
+use revsynth::core::{SearchOptions, Synthesizer};
 
 fn synth_k4() -> &'static Synthesizer {
     static S: OnceLock<Synthesizer> = OnceLock::new();
@@ -20,22 +20,34 @@ fn save_load_synthesize_roundtrip() {
     tables.save(&path).expect("save");
     let loaded = SearchTables::load(&path).expect("load");
     std::fs::remove_file(&path).ok();
+    // The reload holds the same classes, level by level, with the same
+    // gate records (the content digest covers both, in any format).
+    assert_eq!(loaded.levels(), tables.levels());
+    assert_eq!(loaded.content_digest(), tables.content_digest());
 
     let original = Synthesizer::new(tables);
     let reloaded = Synthesizer::new(loaded);
-    // Both must synthesize identical-size circuits for a spread of
-    // functions (circuits themselves may differ only if multiple minimal
-    // circuits exist — sizes must agree exactly).
+    // Both must synthesize identical-size circuits, and fail alike beyond
+    // their reach, along a walk through the gate library (circuits
+    // themselves may differ only if multiple minimal circuits exist —
+    // sizes must agree exactly). The walk's first dozen steps (sizes up
+    // to the reach) and every 10th step after, in one batch each.
     let lib = GateLib::nct(4);
     let mut f = revsynth::perm::Perm::identity();
+    let mut walk = Vec::new();
     for i in 0..200usize {
         f = f.then(lib.perm_of(i % lib.len()));
-        if let Ok(a) = original.size(f) {
-            assert_eq!(reloaded.size(f).ok(), Some(a), "step {i}");
-        } else {
-            assert!(reloaded.size(f).is_err(), "step {i}");
+        if i < 12 || i % 10 == 0 {
+            walk.push(f);
         }
     }
+    let opts = SearchOptions::new().threads(1);
+    let sizes = original.size_many(&walk, &opts);
+    assert!(
+        sizes.iter().any(Result::is_ok) && sizes.iter().any(Result::is_err),
+        "the walk reaches past the tables: {sizes:?}"
+    );
+    assert_eq!(reloaded.size_many(&walk, &opts), sizes);
 }
 
 #[test]

@@ -15,19 +15,26 @@ pub const SHUFFLE_TABLES: usize = 24;
 /// A shuffle-table canonicalization kernel, attached to a [`Symmetries`]
 /// with [`Symmetries::with_kernel`].
 ///
-/// `kernel(f, gather, relabel)` returns the first minimum, with its
-/// index, of the 48 packed words `conj_0(f), …, conj_23(f),
+/// `kernel(f, f_inverse, gather, relabel)` returns the first minimum,
+/// with its index, of the 48 packed words `conj_0(f), …, conj_23(f),
 /// conj_0(f⁻¹), …, conj_23(f⁻¹)`, where nibble `x` of `conj_s(p)` is
 /// `relabel[s][p(gather[s][x])]` — or `None` when the running CPU cannot
-/// execute it. Ties go to the lower index.
+/// execute it. Ties go to the lower index. `f_inverse` is `Some(f⁻¹)`
+/// when the caller already holds the inverse
+/// ([`Symmetries::canonical_with_inverse`]); with `None` the kernel
+/// inverts `f` itself.
 ///
 /// Choosing CPU instructions at run time takes `unsafe`, which this
 /// crate forbids. The SSSE3 kernel is
 /// `revsynth_mmap::shuffle::first_min_conjugate`, and
 /// `revsynth_bfs::symmetries` attaches it to the symmetries of every
 /// table that crate builds or loads.
-pub type ShuffleKernel =
-    fn(Perm, &[[u8; 16]; SHUFFLE_TABLES], &[[u8; 16]; SHUFFLE_TABLES]) -> Option<(Perm, usize)>;
+pub type ShuffleKernel = fn(
+    Perm,
+    Option<Perm>,
+    &[[u8; 16]; SHUFFLE_TABLES],
+    &[[u8; 16]; SHUFFLE_TABLES],
+) -> Option<(Perm, usize)>;
 
 /// Precomputed symmetry data for an `n`-wire domain: the transposition walk
 /// that visits all `n!` wire relabelings, the prefix relabelings needed
@@ -164,17 +171,32 @@ impl Symmetries {
     #[inline]
     #[must_use]
     pub fn canonical(&self, f: Perm) -> Perm {
-        match self.shuffle(f) {
+        match self.shuffle(f, None) {
             Some((rep, _)) => rep,
             None => self.canonical_walk(f),
         }
     }
 
+    /// [`canonical`](Self::canonical) of `f` when the caller already
+    /// holds `f_inverse = f⁻¹`, which every kernel needs: the
+    /// meet-in-the-middle scan gets each candidate's inverse from the
+    /// same byte shuffle that composes it, and so skips the scalar
+    /// inversion. The result is `canonical(f)`; an `f_inverse` that is
+    /// not `f⁻¹` gives a meaningless class member.
+    #[inline]
+    #[must_use]
+    pub fn canonical_with_inverse(&self, f: Perm, f_inverse: Perm) -> Perm {
+        match self.shuffle(f, Some(f_inverse)) {
+            Some((rep, _)) => rep,
+            None => self.walk_min(f, f_inverse),
+        }
+    }
+
     /// The attached kernel's first minimum and its index, if it ran.
     #[inline]
-    fn shuffle(&self, f: Perm) -> Option<(Perm, usize)> {
+    fn shuffle(&self, f: Perm, f_inverse: Option<Perm>) -> Option<(Perm, usize)> {
         let (_, kernel) = self.kernel?;
-        kernel(f, &self.gather, &self.relabel)
+        kernel(f, f_inverse, &self.gather, &self.relabel)
     }
 
     /// Like [`canonical`](Self::canonical) but also returns the witness
@@ -187,7 +209,7 @@ impl Symmetries {
     /// CPU.
     #[must_use]
     pub fn canonicalize(&self, f: Perm) -> Canonicalized {
-        match self.shuffle(f) {
+        match self.shuffle(f, None) {
             Some((rep, at)) => {
                 let inverted = at >= SHUFFLE_TABLES;
                 let step = if inverted { at - SHUFFLE_TABLES } else { at };
@@ -207,6 +229,12 @@ impl Symmetries {
     /// kernel runs, and the reference kernels are tested against.
     #[must_use]
     pub fn canonical_walk(&self, f: Perm) -> Perm {
+        self.walk_min(f, f.inverse())
+    }
+
+    /// The walk's minimum over the conjugates of `f` and of its inverse
+    /// `inv`.
+    fn walk_min(&self, f: Perm, inv: Perm) -> Perm {
         let mut best = f;
         let mut cur = f;
         for &idx in &self.walk {
@@ -215,7 +243,6 @@ impl Symmetries {
                 best = cur;
             }
         }
-        let inv = f.inverse();
         if inv < best {
             best = inv;
         }

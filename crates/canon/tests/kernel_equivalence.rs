@@ -20,7 +20,9 @@ use revsynth_perm::Perm;
 
 fn assert_same(sym: &Symmetries, f: Perm) {
     assert_eq!(sym.canonicalize(f), sym.canonicalize_walk(f), "f = {f}");
-    assert_eq!(sym.canonical(f), sym.canonical_walk(f), "f = {f}");
+    let walk = sym.canonical_walk(f);
+    assert_eq!(sym.canonical(f), walk, "f = {f}");
+    assert_eq!(sym.canonical_with_inverse(f, f.inverse()), walk, "f = {f}");
 }
 
 fn report(sym: &Symmetries, what: &str, checked: usize) {

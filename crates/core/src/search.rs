@@ -113,22 +113,40 @@
 //! [`SearchStats`] reports its selectivity (candidates gated /
 //! canonicalized / probed).
 //!
+//! # The byte-form candidate batch
+//!
+//! The ≤ 2·n! candidates of one representative and one query are built
+//! together, as one [`CandidateBatch`], from the query's frames unpacked
+//! once per query into byte form ([`ByteForm`], one byte per point, with
+//! the inverse's bytes beside). Where the CPU has SSSE3 and POPCNT the
+//! batch kernels of `revsynth_mmap::shuffle` fill it: one `pshufb`
+//! composes a candidate (`frame.then(rep)` is `pshufb(rep, frame)`), one
+//! more gives its inverse (`(frame.then(rep))⁻¹ = rep⁻¹.then(frame⁻¹)`),
+//! and the candidate's bytes give its wire-weight key directly. Elsewhere
+//! the scalar `Perm` kernels fill the same batch and invert a candidate
+//! only when it is canonicalized. Gate-off scans build the same batch.
+//!
 //! On tables that exceed the cache, both stages of the gate are a cache
 //! miss — the prefilter word, then the index's home slot — and one
 //! candidate at a time they run back to back. The scan therefore gates
-//! the ≤ 2·n! candidates of one representative and one query as a batch
-//! ([`InvariantIndex::admits_batch`]) in three passes: weight keys with a
-//! prefetch of each prefilter word; the prefilter test, with the combined
-//! key and a prefetch of its index slot for each survivor; then each
-//! survivor's bucket mask against the allowed mask. The misses of a pass
-//! overlap each other and the arithmetic of the next candidates. The
-//! batch is then replayed in candidate order through count → gated? →
-//! canonicalize → probe. The batch is gated with the mask in force when
-//! it starts; a hit accepted during the replay can only shrink the mask,
-//! and the acceptance test re-checks every later hit against it. On
-//! gate-count tables the first hit closes the query, so the scan stops
-//! where a one-at-a-time loop would and [`SearchStats`] count the same
-//! work; verdicts computed past that hit are speculative and not counted.
+//! the whole batch ([`InvariantIndex::admits_batch`]) in three passes:
+//! a prefetch of each candidate's prefilter word; the prefilter test,
+//! then the cycle-type keys of the **survivors only** (16 `pshufb`
+//! powers and a first-return count each, where the CPU runs the kernel)
+//! and a prefetch of each survivor's index slot; then each survivor's
+//! bucket mask against the allowed mask. The misses of a pass overlap
+//! each other and the arithmetic of the next candidates. The batch is
+//! then replayed in candidate order through count → gated? →
+//! canonicalize → probe, and each survivor is canonicalized from the
+//! inverse the batch holds ([`Symmetries::canonical_with_inverse`]). The
+//! batch is gated with the mask in force when it starts; a hit accepted
+//! during the replay can only shrink the mask, and the acceptance test
+//! re-checks every later hit against it. On gate-count tables the first
+//! hit closes the query, so the scan stops where a one-at-a-time loop
+//! would and [`SearchStats`] count the same work; verdicts computed past
+//! that hit are speculative and not counted.
+//!
+//! [`Symmetries::canonical_with_inverse`]: revsynth_canon::Symmetries::canonical_with_inverse
 //!
 //! # The probe wavefront
 //!
@@ -176,7 +194,7 @@
 use revsynth_bfs::SearchTables;
 use revsynth_circuit::CostKind;
 use revsynth_perm::Perm;
-use revsynth_table::{InvariantIndex, ProbeRing};
+use revsynth_table::{ByteForm, CandidateBatch, InvariantIndex, ProbeRing};
 
 use crate::cost::ResidueRule;
 use crate::error::SynthesisError;
@@ -375,6 +393,10 @@ pub(crate) struct PreparedQuery {
     fwd: Vec<(Perm, u32)>,
     /// Distinct conjugates `conj_τ(f⁻¹)`, sorted likewise.
     inv: Vec<(Perm, u32)>,
+    /// `fwd`'s frames unpacked for the candidate batches, in its order.
+    fwd_bytes: Vec<ByteForm>,
+    /// `inv`'s frames unpacked likewise.
+    inv_bytes: Vec<ByteForm>,
 }
 
 /// A meet-in-the-middle hit: the query splits as `f = residue ∘ member⁻¹`
@@ -416,7 +438,14 @@ impl Synthesizer {
             .collect();
         inv.sort_unstable();
         inv.dedup_by(|a, b| a.0 == b.0);
-        PreparedQuery { fwd, inv }
+        let unpack =
+            |frames: &[(Perm, u32)]| frames.iter().map(|&(f, _)| ByteForm::new(f)).collect();
+        PreparedQuery {
+            fwd_bytes: unpack(&fwd),
+            inv_bytes: unpack(&inv),
+            fwd,
+            inv,
+        }
     }
 
     /// Scans the buckets in ascending cost for every query at once,
@@ -785,9 +814,10 @@ impl ShardQuery {
 /// docs), so the gate setting cannot change them either.
 ///
 /// The gate runs a stage ahead: the ≤ 2·n! candidates of one
-/// representative and one query are gated as one batch
-/// ([`InvariantIndex::admits_batch`]) against the query's mask, then
-/// replayed in order through count → gated? → canonicalize → probe ring.
+/// representative and one query are composed as one [`CandidateBatch`]
+/// and gated together ([`InvariantIndex::admits_batch`]) against the
+/// query's mask, then replayed in order through count → gated? →
+/// canonicalize (from the batch's inverse) → probe ring.
 /// A query whose mask empties stops there; verdicts for its candidates
 /// past that point are speculative work and are not counted.
 #[allow(clippy::too_many_arguments)] // hot kernel, deliberately flat
@@ -814,32 +844,34 @@ fn scan_shard(
         })
         .collect();
     let mut remaining = open.len();
-    let mut batch: Vec<Perm> = Vec::new();
+    let mut batch = CandidateBatch::new();
     'reps: for &rep in shard {
         // A self-inverse representative contributes the same candidate
         // classes on both sides; skip the redundant inverse side.
-        let rep_self_inverse = rep.inverse() == rep;
+        let rep_inverse = rep.inverse();
+        let rep_self_inverse = rep_inverse == rep;
         for (state, open) in states.iter_mut().zip(open) {
             if state.mask == 0 {
                 continue;
             }
             let query = &queries[open.query];
-            batch.clear();
-            batch.extend(query.fwd.iter().map(|&(frame, _)| frame.then(rep)));
-            if !rep_self_inverse {
-                batch.extend(query.inv.iter().map(|&(frame, _)| rep.then(frame)));
-            }
+            let inv_frames: &[ByteForm] = if rep_self_inverse {
+                &[]
+            } else {
+                &query.inv_bytes
+            };
+            batch.compose(rep, rep_inverse, &query.fwd_bytes, inv_frames);
             // A candidate no stored function of an allowed residue bucket
             // shares invariants with cannot be accepted, so it is never
             // canonicalized.
             let admitted = gate.map_or(u64::MAX, |index| index.admits_batch(&batch, state.mask));
-            for (j, &composition) in batch.iter().enumerate() {
+            for (j, &composition) in batch.candidates().iter().enumerate() {
                 state.stats.considered += 1;
                 if admitted >> j & 1 == 0 {
                     state.stats.gated += 1;
                     continue;
                 }
-                let canon = sym.canonical(composition);
+                let canon = sym.canonical_with_inverse(composition, batch.inverse(j));
                 state.stats.canonicalized += 1;
                 let (side, step) = match query.fwd.get(j) {
                     Some(&(_, step)) => (Side::Fwd, step),

@@ -15,8 +15,9 @@
 //! and the rest all `#![forbid(unsafe_code)]`): besides the mapping, it
 //! holds the raw-syscall networking of [`net`] (sockets, epoll and the
 //! eventfd wakers of the serving event loops; its module docs carry the
-//! descriptor and pointer arguments) and the SIMD canonicalization
-//! kernel of [`shuffle`]. The argument for each use:
+//! descriptor and pointer arguments) and the SIMD kernels of [`shuffle`]
+//! (canonicalization, and the meet-in-the-middle scan's candidate
+//! batches and class keys). The argument for each use:
 //!
 //! * **Mapping lifetime.** A [`Region`] owns its mapping (or heap buffer)
 //!   and unmaps it only in `Drop`. [`ArcSlice`] holds an `Arc<Region>`,
@@ -42,12 +43,23 @@
 //!   instruction for the address of a live reference. A prefetch is a
 //!   hint: it never faults, never writes, and has no effect a program can
 //!   observe other than timing, so it cannot break any invariant above.
-//! * **SIMD kernel.** [`shuffle::first_min_conjugate`] calls a function
+//! * **SIMD kernels.** [`shuffle::first_min_conjugate`] calls a function
 //!   compiled with the `ssse3` target feature only after
 //!   `is_x86_feature_detected!("ssse3")` has confirmed that the running
 //!   CPU supports it, and returns `None` otherwise, so no SSSE3
-//!   instruction ever reaches a CPU without SSSE3. Its only memory access
-//!   is an unaligned 16-byte load from a live `&[u8; 16]`.
+//!   instruction ever reaches a CPU without SSSE3. The batch and key
+//!   kernels ([`shuffle::compose_batch`], [`shuffle::cycle_type_keys`],
+//!   [`shuffle::cycle_type_key`], [`shuffle::wire_weight_key`]) likewise
+//!   call functions compiled with `ssse3` and `popcnt` only after
+//!   `is_x86_feature_detected!` has confirmed both, and return `false`
+//!   or `None` otherwise. Their `unsafe` blocks are those calls and
+//!   unaligned 16-byte loads from live `&[u8; 16]` references (the
+//!   shuffle tables and the byte forms of [`shuffle::ByteForm`]); every
+//!   other access is a bounds-checked slice or array index, and the
+//!   entry points assert that each output slice holds the batch before
+//!   any kernel runs. Shuffles move bytes between registers and never
+//!   address memory, and the weight kernel indexes its 256-entry table
+//!   with a byte, which cannot leave it.
 
 pub mod net;
 pub mod shuffle;

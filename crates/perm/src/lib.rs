@@ -47,7 +47,7 @@ mod wire;
 pub use error::InvalidPermError;
 pub use hash::hash64shift;
 pub use masks::{TranspositionMasks, TRANSPOSITION_MASKS};
-pub use packed::Perm;
+pub use packed::{Perm, WEIGHT_MIX};
 pub use wire::{WirePerm, MAX_WIRES};
 
 /// Maximum number of wires representable in the packed `u64` encoding.

@@ -437,7 +437,12 @@ const fn nibble_popcounts(w: u64) -> u64 {
 /// `(i, j)` so that inversion (which swaps the roles of `x` and `f(x)`)
 /// leaves the accumulated key unchanged. Generated deterministically at
 /// compile time from a SplitMix64 stream.
-const WEIGHT_MIX: [u64; 125] = build_weight_mix();
+///
+/// Exported so that other kernels (the byte-shuffle ones of
+/// `revsynth-mmap`) can compute the same key: the key of `f` is the
+/// wrapping sum of `WEIGHT_MIX[i * 25 + j * 5 + a]` over the 16 points
+/// `x`, with `i = |x|`, `j = |f(x)|` and `a = |x ∧ f(x)|`.
+pub const WEIGHT_MIX: [u64; 125] = build_weight_mix();
 
 const fn build_weight_mix() -> [u64; 125] {
     let mut m = [0u64; 125];

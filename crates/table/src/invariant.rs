@@ -21,10 +21,16 @@
 //! Collisions in the combined 64-bit key only ever *merge* entries, which
 //! widens a mask — the gate stays sound (it can pass a doomed candidate,
 //! never reject a viable one).
+//!
+//! Every path computes both keys with the same kernels: the byte-shuffle
+//! ones of [`revsynth_mmap::shuffle`] where the CPU has SSSE3 and POPCNT,
+//! the scalar `Perm` methods (their reference) elsewhere. Both give the
+//! same keys, so an index built on one CPU answers identically on another.
 
 use revsynth_mmap::{prefetch_read, ArcSlice};
 use revsynth_perm::{hash64shift, Perm};
 
+use crate::batch::{cycle_type_key, wire_weight_key, CandidateBatch};
 use crate::storage::RawStore;
 
 /// Maps combined class-invariant keys to the distance sets at which they
@@ -49,7 +55,7 @@ pub struct InvariantIndex {
     /// Stage-1 prefilter: a bitmap over hashed [`Perm::wire_weight_key`]
     /// values of the stored representatives. The weight key alone is
     /// already a class invariant, and it is the cheap half of the
-    /// combined key (straight-line SWAR, no pointer chase), so the hot
+    /// combined key (it comes with each batch candidate), so the hot
     /// gate tests it first and computes the cycle type only for the few
     /// candidates whose weight profile occurs at all. A clear bit proves
     /// absence; a set bit (including hash false positives) falls through
@@ -68,12 +74,12 @@ impl InvariantIndex {
     /// The combined invariant key of a function: its cycle type
     /// ([`Perm::cycle_type_key`]) mixed with its wire-weight profile
     /// ([`Perm::wire_weight_key`]). Constant on every ×48 equivalence
-    /// class; this is the hot kernel of the candidate gate (a few dozen
-    /// straight-line instructions, no memory traffic).
+    /// class. Both keys come from the byte-shuffle kernels where the CPU
+    /// runs them (see the module docs), as in the gate.
     #[inline]
     #[must_use]
     pub fn key_of(f: Perm) -> u64 {
-        hash64shift(f.cycle_type_key()) ^ f.wire_weight_key()
+        hash64shift(cycle_type_key(f)) ^ wire_weight_key(f)
     }
 
     /// Builds the index from `(representative, optimal size)` pairs.
@@ -105,10 +111,10 @@ impl InvariantIndex {
         };
         for (rep, distance) in entries {
             assert!(distance < 32, "distance {distance} out of mask range");
-            let weight = rep.wire_weight_key();
+            let weight = wire_weight_key(rep);
             let bit = hash64shift(weight) & index.weight_bit_mask;
             index.weight_bits.make_mut()[(bit >> 6) as usize] |= 1 << (bit & 63);
-            index.insert(hash64shift(rep.cycle_type_key()) ^ weight, 1 << distance);
+            index.insert(hash64shift(cycle_type_key(rep)) ^ weight, 1 << distance);
         }
         index
     }
@@ -238,19 +244,19 @@ impl InvariantIndex {
     #[inline]
     #[must_use]
     pub fn admits(&self, f: Perm, distance: usize) -> bool {
-        let weight = f.wire_weight_key();
+        let weight = wire_weight_key(f);
         let bit = hash64shift(weight) & self.weight_bit_mask;
         if self.weight_bits[(bit >> 6) as usize] >> (bit & 63) & 1 == 0 {
             return false;
         }
-        self.admits_at(hash64shift(f.cycle_type_key()) ^ weight, distance)
+        self.admits_at(hash64shift(cycle_type_key(f)) ^ weight, distance)
     }
 
     /// The gate for a batch of candidates: bit `i` of the result is set
     /// ⇔ some stored representative at a distance in `allowed` (bit `d`
-    /// set ⇔ distance `d` allowed) could share `fs[i]`'s class
+    /// set ⇔ distance `d` allowed) could share candidate `i`'s class
     /// invariants — for a single-bit `allowed = 1 << d`, exactly
-    /// [`admits(fs[i], d)`](Self::admits). A clear bit proves the
+    /// [`admits(candidate, d)`](Self::admits). A clear bit proves the
     /// candidate misses every allowed distance.
     ///
     /// On tables larger than the cache both stages of the gate are a
@@ -259,39 +265,33 @@ impl InvariantIndex {
     /// here the batch runs in three passes so that the misses of a pass
     /// overlap each other and the arithmetic of the next candidates:
     ///
-    /// 1. compute every weight key and prefetch its prefilter word;
-    /// 2. test the words, and for each survivor compute the combined key
-    ///    and prefetch its home slot in both the key and the mask array;
+    /// 1. hash every weight key (the batch holds them) and prefetch its
+    ///    prefilter word;
+    /// 2. test the words, compute the cycle-type keys of the survivors
+    ///    only ([`CandidateBatch::cycle_type_keys`]), and for each
+    ///    survivor prefetch the home slot of its combined key in both the
+    ///    key and the mask array;
     /// 3. resolve each survivor's distance mask against `allowed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fs` holds more than [`MAX_BATCH`](Self::MAX_BATCH)
-    /// candidates.
     #[must_use]
-    pub fn admits_batch(&self, fs: &[Perm], allowed: u32) -> u64 {
-        assert!(
-            fs.len() <= Self::MAX_BATCH,
-            "gate batch of {} exceeds {}",
-            fs.len(),
-            Self::MAX_BATCH
-        );
-        let mut keys = [0u64; Self::MAX_BATCH];
+    pub fn admits_batch(&self, batch: &CandidateBatch, allowed: u32) -> u64 {
         let mut bits = [0u64; Self::MAX_BATCH];
-        for ((key, bit), &f) in keys.iter_mut().zip(&mut bits).zip(fs) {
-            *key = f.wire_weight_key();
-            *bit = hash64shift(*key) & self.weight_bit_mask;
+        for (bit, &weight) in bits.iter_mut().zip(batch.weight_keys()) {
+            *bit = hash64shift(weight) & self.weight_bit_mask;
             prefetch_read(&self.weight_bits[(*bit >> 6) as usize]);
         }
         let mut survivors = 0u64;
-        for (i, ((key, &bit), &f)) in keys.iter_mut().zip(&bits).zip(fs).enumerate() {
-            if self.weight_bits[(bit >> 6) as usize] >> (bit & 63) & 1 == 1 {
-                survivors |= 1 << i;
-                *key ^= hash64shift(f.cycle_type_key());
-                let home = self.home_slot(*key);
-                prefetch_read(&self.keys[home]);
-                prefetch_read(&self.masks[home]);
-            }
+        for (i, &bit) in bits[..batch.len()].iter().enumerate() {
+            survivors |= (self.weight_bits[(bit >> 6) as usize] >> (bit & 63) & 1) << i;
+        }
+        let mut keys = batch.cycle_type_keys(survivors);
+        let mut pending = survivors;
+        while pending != 0 {
+            let i = pending.trailing_zeros() as usize;
+            pending &= pending - 1;
+            keys[i] = hash64shift(keys[i]) ^ batch.weight_keys()[i];
+            let home = self.home_slot(keys[i]);
+            prefetch_read(&self.keys[home]);
+            prefetch_read(&self.masks[home]);
         }
         let mut admitted = 0u64;
         while survivors != 0 {
@@ -461,6 +461,7 @@ impl std::fmt::Debug for InvariantIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ByteForm;
 
     fn perm_of(i: u64) -> Perm {
         let mut vals: Vec<u8> = (0..16).collect();
@@ -538,6 +539,11 @@ mod tests {
         }
     }
 
+    /// Bit `d` set ⇔ the one-candidate gate admits `p` at distance `d`.
+    fn admitted_at(index: &InvariantIndex, p: Perm) -> u32 {
+        (0..32).fold(0, |mask, d| mask | u32::from(index.admits(p, d)) << d)
+    }
+
     #[test]
     fn staged_admits_equals_exact_admits() {
         // The weight-key prefilter may only reject what the exact lookup
@@ -545,20 +551,27 @@ mod tests {
         // one-candidate gate: a batch bit is set iff some allowed distance
         // admits the candidate. All agree on every candidate, mask (single
         // distances and multi-bit sets) and batch length, on a built index
-        // and on its compact layout.
+        // and on its compact layout, for batches the byte kernel fills and
+        // for batches the scalar fallback fills.
         let entries: Vec<(Perm, usize)> = (0..100u64)
             .map(|i| (perm_of(i), (i % 9) as usize))
             .collect();
         let built = InvariantIndex::build(entries.iter().copied(), entries.len());
-        let candidates: Vec<Perm> = (0..500u64).map(perm_of).collect();
+        // Stored representatives and their inverses, which the index must
+        // admit, among random candidates.
+        let candidates: Vec<Perm> = entries
+            .iter()
+            .flat_map(|&(p, _)| [p, p.inverse()])
+            .chain((100..400u64).map(perm_of))
+            .collect();
+        let frames: Vec<ByteForm> = candidates.iter().map(|&p| ByteForm::new(p)).collect();
         let masks: Vec<u32> = (0..9)
             .map(|d| 1 << d)
             .chain([0, 0b1010, 0b1_1000_0110, 0x1FF, u32::MAX])
             .collect();
+        let mut batch = CandidateBatch::new();
         for index in [built.compact(), built] {
-            // Bit d of admitted_at[i] ⇔ the one-candidate gate admits
-            // candidate i at distance d.
-            let mut admitted_at = vec![0u32; candidates.len()];
+            let mut admitted_at_i = vec![0u32; candidates.len()];
             for (i, &p) in candidates.iter().enumerate() {
                 let key = InvariantIndex::key_of(p);
                 for d in 0..32 {
@@ -567,20 +580,60 @@ mod tests {
                         index.admits_at(key, d),
                         "perm {i}, distance {d}"
                     );
-                    admitted_at[i] |= u32::from(index.admits(p, d)) << d;
                 }
+                admitted_at_i[i] = admitted_at(&index, p);
             }
+            assert!(admitted_at_i[..200].iter().all(|&mask| mask != 0));
             for len in 0..=48 {
                 for start in (0..candidates.len() - len).step_by(37) {
-                    let batch = &candidates[start..start + len];
+                    // With the identity as the representative, the batch's
+                    // candidates are its frames, on both sides.
+                    let (fwd, inv) = frames[start..start + len].split_at(len / 3);
+                    for scalar in [false, true] {
+                        if scalar {
+                            batch.compose_scalar(Perm::identity(), fwd, inv);
+                        } else {
+                            batch.compose(Perm::identity(), Perm::identity(), fwd, inv);
+                        }
+                        assert_eq!(batch.candidates(), &candidates[start..start + len]);
+                        for &allowed in &masks {
+                            let admitted = index.admits_batch(&batch, allowed);
+                            assert_eq!(admitted >> len, 0, "bits past the batch stay clear");
+                            for j in 0..len {
+                                assert_eq!(
+                                    admitted >> j & 1 == 1,
+                                    admitted_at_i[start + j] & allowed != 0,
+                                    "batch {start}+{len}, entry {j}, mask {allowed:#x}, {}",
+                                    batch.kernel()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+            // Composed batches: a representative with 24 frames a side.
+            for r in 0..20 {
+                let rep = candidates[r * 7];
+                let (fwd, inv) = frames[r * 11..r * 11 + 48].split_at(24);
+                for scalar in [false, true] {
+                    if scalar {
+                        batch.compose_scalar(rep, fwd, inv);
+                    } else {
+                        batch.compose(rep, rep.inverse(), fwd, inv);
+                    }
+                    let expected: Vec<u32> = batch
+                        .candidates()
+                        .iter()
+                        .map(|&c| admitted_at(&index, c))
+                        .collect();
                     for &allowed in &masks {
-                        let admitted = index.admits_batch(batch, allowed);
-                        assert_eq!(admitted >> len, 0, "bits past the batch stay clear");
-                        for j in 0..len {
+                        let admitted = index.admits_batch(&batch, allowed);
+                        for (j, &mask) in expected.iter().enumerate() {
                             assert_eq!(
                                 admitted >> j & 1 == 1,
-                                admitted_at[start + j] & allowed != 0,
-                                "batch {start}+{len}, entry {j}, mask {allowed:#x}"
+                                mask & allowed != 0,
+                                "rep {r}, entry {j}, mask {allowed:#x}, {}",
+                                batch.kernel()
                             );
                         }
                     }
@@ -592,8 +645,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds")]
     fn oversized_gate_batches_are_rejected() {
-        let index = InvariantIndex::build([(Perm::identity(), 0)], 1);
-        let _ = index.admits_batch(&[Perm::identity(); InvariantIndex::MAX_BATCH + 1], 1);
+        let frames = [ByteForm::new(Perm::identity()); InvariantIndex::MAX_BATCH + 1];
+        CandidateBatch::new().compose(Perm::identity(), Perm::identity(), &frames, &[]);
     }
 
     #[test]

@@ -30,12 +30,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod batch;
 mod invariant;
 mod ring;
 mod stats;
 mod storage;
 mod table;
 
+pub use batch::{ByteForm, CandidateBatch};
 pub use invariant::InvariantIndex;
 pub use ring::ProbeRing;
 pub use stats::TableStats;
